@@ -259,29 +259,6 @@ class Group:
                     break
         self._id = GroupElem(self, (0,) * self.N, (1, 1), self.W.identity, (0,) * self.N)
 
-    # -- atoms ----------------------------------------------------------------
-
-    def atom_u(self, idx: int, x: int):
-        """u_alpha(x); idx in 1..2N (negative roots are idx > N)."""
-        return ("u", idx, x)
-
-    def atom_n(self, i: int, t: int = 1):
-        if i not in (1, 2):
-            raise ValueError("n-atoms exist for simple roots only")
-        if t == 0:
-            raise ValueError("n_i(0) is undefined")
-        return ("n", i, t)
-
-    def atom_t(self, i: int, lam: int):
-        if lam == 0:
-            raise ValueError("torus parameter must be a unit")
-        return ("T", lam, 1) if i == 1 else ("T", 1, lam)
-
-    def atom_torus(self, chi1: int, chi2: int):
-        if chi1 == 0 or chi2 == 0:
-            raise ValueError("torus parameter must be a unit")
-        return ("T", chi1, chi2)
-
     # -- torus helpers ----------------------------------------------------------
 
     def chi_at(self, t, idx: int) -> int:
@@ -289,10 +266,6 @@ class Group:
         c1, c2 = self.rs.root(idx)
         F = self.F
         return F.mul(F.pow(t[0], c1), F.pow(t[1], c2))
-
-    def chi_at_pair(self, t, pair) -> int:
-        F = self.F
-        return F.mul(F.pow(t[0], pair[0]), F.pow(t[1], pair[1]))
 
     def inv_set(self, w: WeylElem) -> frozenset:
         return self._inv_sets[w]
@@ -528,10 +501,6 @@ class Group:
 
     def torus(self, chi1: int, chi2: int) -> GroupElem:
         return GroupElem(self, (0,) * self.N, (chi1, chi2), self.W.identity, (0,) * self.N)
-
-    def torus_from_params(self, lam1: int, lam2: int) -> GroupElem:
-        """t_1(lam1) t_2(lam2)."""
-        return self.torus(lam1, lam2)
 
     def lift(self, w: WeylElem) -> GroupElem:
         return self.normal_form([("n", i, 1) for i in w.word])

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from multiprocessing import Pool
 
@@ -179,14 +180,18 @@ def _constants_chunk(payload) -> list:
 
 
 def _fan_out(tag: str, F: Field, triples: list, jobs: int, worker) -> list:
-    if jobs <= 1:
-        return worker((tag, F.to_dict(), triples))
+    if jobs < 1:
+        _usage(f"--jobs must be at least 1, got {jobs}")
     # partition by kind pattern so each worker builds few rep tables
     buckets = {}
     for t in triples:
         buckets.setdefault(tuple(b.kind for b in t), []).append(t)
+    # never more workers than CPUs or chunks, whatever --jobs asks for
+    size = min(jobs, os.cpu_count() or 1, len(buckets))
+    if size <= 1:
+        return worker((tag, F.to_dict(), triples))
     payloads = [(tag, F.to_dict(), chunk) for chunk in buckets.values()]
-    with Pool(jobs) as pool:
+    with Pool(size) as pool:
         parts = pool.map(worker, payloads)
     merged = []
     for part in parts:

@@ -1,10 +1,13 @@
-"""Exact arithmetic in Z[zeta_p] (with rational coefficients) and the
-character sums built on it.
+"""Exact arithmetic in Z[zeta_p] and the character sums built on it.
 
-A CycloNum is a vector of p-1 rationals over the basis 1, zeta, ...,
+A CycloNum is a vector of p-1 coefficients over the basis 1, zeta, ...,
 zeta^(p-2) of Q(zeta_p), where zeta = exp(2 pi i / p); the relation
 1 + zeta + ... + zeta^(p-1) = 0 folds the top power into the basis.  The
 additive character of F_q is phi(x) = zeta_p^Tr(x).
+
+Coefficients are ints.  A Fraction appears only where a rational is passed
+in (the 1/q of generation_expand, the 1/|U| of the oracle's idempotent),
+and one that reduces to an integer is stored as an int again.
 
 >>> from gghecke.gf import make_field
 >>> F = make_field(5)
@@ -15,17 +18,26 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import gf
 
 
+def _exact(c):
+    """An int as is; anything else as a Fraction, or an int when integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class CycloNum:
-    """Element of Q(zeta_p), exact."""
+    """Element of Q(zeta_p), exact; immutable."""
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_exact, coeffs))
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
         self.p = p
@@ -39,7 +51,7 @@ class CycloNum:
 
     @staticmethod
     def from_int(p: int, n) -> "CycloNum":
-        return CycloNum(p, (Fraction(n),) + (Fraction(0),) * (p - 2))
+        return CycloNum(p, (n,) + (0,) * (p - 2))
 
     @staticmethod
     def zeta_pow(p: int, k: int) -> "CycloNum":
@@ -53,7 +65,7 @@ class CycloNum:
     @staticmethod
     def from_zeta_counts(p: int, counts) -> "CycloNum":
         """sum(counts[k] * zeta^k), counts indexed by exponent mod p."""
-        cs = [Fraction(0)] * (p - 1)
+        cs = [0] * (p - 1)
         for k, n in enumerate(counts):
             if n:
                 k %= p
@@ -82,7 +94,7 @@ class CycloNum:
             return self.scale(other)
         self._chk(other)
         p = self.p
-        acc = [Fraction(0)] * p  # exponents mod p
+        acc = [0] * p  # exponents mod p
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -94,11 +106,11 @@ class CycloNum:
     __rmul__ = __mul__
 
     def scale(self, c) -> "CycloNum":
-        c = Fraction(c)
+        c = _exact(c)
         return CycloNum(self.p, (a * c for a in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.coeffs)
 
     def _chk(self, other: "CycloNum") -> None:
         if self.p != other.p:
@@ -143,7 +155,7 @@ class CycloNum:
 
     @staticmethod
     def from_dict(d: dict) -> "CycloNum":
-        return CycloNum(d["p"], [Fraction(s) for s in d["coeffs"]])
+        return CycloNum(d["p"], d["coeffs"])
 
 
 # -- character sums -----------------------------------------------------------
@@ -154,8 +166,12 @@ def phi(field: gf.Field, x: int) -> CycloNum:
     return CycloNum.zeta_pow(field.p, field.trace(x))
 
 
+@lru_cache(maxsize=None)
 def gauss_sum(field: gf.Field) -> CycloNum:
-    """G = sum over x in F_q of phi(x^2); 0 in characteristic 2."""
+    """G = sum over x in F_q of phi(x^2); 0 in characteristic 2.
+
+    Computed once per field; the shared CycloNum is immutable.
+    """
     counts = [0] * field.p
     for x in field.elements():
         counts[field.trace(field.mul(x, x))] += 1

@@ -11,12 +11,12 @@ work.  Intended for q up to a few hundred; construction refuses larger q.
 >>> F4 = make_field(2, 2)
 >>> F4.modulus          # x^2 + x + 1, little-endian coefficients
 (1, 1, 1)
->>> trace(F4, 2)        # the class of x generates F_4; Tr(x) = 1
+>>> F4.trace(2)         # the class of x generates F_4; Tr(x) = 1
 1
 >>> F9 = make_field(3, 2)
 >>> F9.modulus          # x^2 + 1 is the least irreducible over F_3
 (1, 0, 1)
->>> trace(F9, 3)        # i = class of x, i^2 = -1; Tr(i) = i + i^3 = 0
+>>> F9.trace(3)         # i = class of x, i^2 = -1; Tr(i) = i + i^3 = 0
 0
 """
 
@@ -309,20 +309,6 @@ def make_field(p: int, f: int = 1, modulus: Iterable[int] | None = None) -> Fiel
 
 def field_from_dict(d: dict) -> Field:
     return make_field(d["p"], d["f"], tuple(d["modulus"]))
-
-
-# Spec-facing functional aliases.
-
-def trace(field: Field, x: int) -> int:
-    return field.trace(x)
-
-
-def rth_roots(field: Field, x: int, r: int) -> frozenset[int]:
-    return field.rth_roots(x, r)
-
-
-def multiplicative_generator(field: Field) -> int:
-    return field.multiplicative_generator()
 
 
 if __name__ == "__main__":

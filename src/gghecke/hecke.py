@@ -106,10 +106,11 @@ class HeckeVec:
 
 def root_sum(field: Field, ell: int, target: int, a: int, b: int) -> CycloNum:
     """Sum of phi(a*z + b/z) over z with z^ell = target."""
-    acc = CycloNum.zero(field.p)
-    for z in sorted(field.rth_roots(target, ell)):
-        acc = acc + phi(field, field.add(field.mul(a, z), field.div(b, z)))
-    return acc
+    F = field
+    counts = [0] * F.p
+    for z in F.rth_roots(target, ell):
+        counts[F.trace(F.add(F.mul(a, z), F.div(b, z)))] += 1
+    return CycloNum.from_zeta_counts(F.p, counts)
 
 
 def root_sum_quartic(
@@ -117,15 +118,15 @@ def root_sum_quartic(
 ) -> CycloNum:
     """Sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over z^ell = target."""
     F = field
-    acc = CycloNum.zero(F.p)
-    for z in sorted(F.rth_roots(target, ell)):
+    counts = [0] * F.p
+    for z in F.rth_roots(target, ell):
         zz = F.mul(z, z)
         arg = F.add(
             F.add(F.mul(a2, zz), F.mul(a, z)),
             F.add(F.div(b, z), F.div(b2, zz)),
         )
-        acc = acc + phi(F, arg)
-    return acc
+        counts[F.trace(arg)] += 1
+    return CycloNum.from_zeta_counts(F.p, counts)
 
 
 class HeckeAlgebra:

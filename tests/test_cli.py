@@ -78,6 +78,47 @@ def test_jobs_do_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(it) for it in items]
+
+
+@pytest.mark.parametrize("cpus,want", [(3, 3), (None, None), (10**6, 64)])
+def test_jobs_are_clamped(monkeypatch, tmp_path, cpus, want):
+    # A2/q=2 has 4 basis elements, so 64 triples in 64 kind-pattern chunks
+    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["constants", "--type", "A2", "--q", "2"]
+    assert run_cli(argv + ["--out", str(a)]) == 0
+    assert _InlinePool.sizes == []
+    assert run_cli(argv + ["--jobs", "10000", "--out", str(b)]) == 0
+    assert _InlinePool.sizes == ([want] if want else [])
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(monkeypatch, jobs, capsys):
+    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    for cmd in ("constants", "verify-tables"):
+        assert run_cli([cmd, "--type", "A2", "--q", "2", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_output_is_byte_stable(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["intersect", "--type", "B2", "--q", "3", "--x", "0:1,1", "--y", "0:1,1", "--z", "0:1,1"]

@@ -1,4 +1,6 @@
 """Cyclotomic arithmetic and the character sum identities."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,30 @@ def test_dict_round_trip():
     ]
     for v in vals:
         assert CycloNum.from_dict(v.to_dict()) == v
+
+
+def test_integral_coefficients_are_ints():
+    v = CycloNum(5, [Fraction(6, 2), 2, Fraction(-4, 4), 0])
+    assert v.coeffs == (3, 2, -1, 0)
+    assert all(type(c) is int for c in v.coeffs)
+    assert all(type(c) is int for c in (v * v + v).scale(-2).coeffs)
+    assert all(type(c) is int for c in CycloNum.from_dict(v.to_dict()).coeffs)
+    # a rational survives, and clears back to an int once it is integral
+    third = CycloNum.from_int(5, 1).scale(Fraction(1, 3))
+    assert third.coeffs[0] == Fraction(1, 3)
+    assert CycloNum.from_dict(third.to_dict()) == third
+    assert type(third.scale(3).coeffs[0]) is int
+
+
+def test_gauss_sum_is_cached_and_exact():
+    for q, (p, f) in {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
+                      7: (7, 1), 8: (2, 3), 9: (3, 2)}.items():
+        F = make_field(p, f)
+        inline = CycloNum.zero(p)
+        for x in F.elements():
+            inline = inline + phi(F, F.mul(x, x))
+        assert gauss_sum(F) == inline, q
+        assert gauss_sum(F) is gauss_sum(F)
 
 
 def test_phi_turns_addition_into_multiplication():

@@ -107,6 +107,19 @@ def test_fast_agrees_with_direct(tag, q):
         assert a == b, (i, j, k)
 
 
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_coefficients_are_ints(tag):
+    # every structure constant is an integer combination of powers of zeta
+    H = hecke_algebra(tag, make_field(3))
+    for i, j, k in itertools.product(H.basis, repeat=3):
+        for value in (
+            H.structure_constant(i, j, k),
+            H.structure_constant(i, j, k, method="direct"),
+            H.table_formula(i, j, k),
+        ):
+            assert all(type(c) is int for c in value.coeffs), (i, j, k, value)
+
+
 def test_closed_forms_over_extension_field():
     H = hecke_algebra("A2", make_field(2, 2))
     for i, j, k in itertools.product(H.basis, repeat=3):
