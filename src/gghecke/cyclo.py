@@ -212,10 +212,11 @@ def kloosterman(
     """
     if l < 1:
         raise ValueError("l must be >= 1")
+    if not all(v in range(field.q) for v in (B, a, b, ap, bp)):
+        raise ValueError(f"B, a, b, ap, bp must be codes 0..{field.q - 1} of F_{field.q}")
     if B == 0:
         raise ValueError("B must be a unit")
     counts = [0] * field.p
-    n = 0
     for z in field.rth_roots(B, l):
         zi = field.inv(z)
         arg = field.mul(a, z)
@@ -225,9 +226,6 @@ def kloosterman(
         if bp:
             arg = field.add(arg, field.mul(bp, field.mul(zi, zi)))
         counts[field.trace(arg)] += 1
-        n += 1
-    if n == 0:
-        return CycloNum.zero(field.p)
     return CycloNum.from_zeta_counts(field.p, counts)
 
 

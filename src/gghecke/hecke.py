@@ -140,6 +140,11 @@ class HeckeAlgebra:
         self.char = GGChar(self.G)
         self.basis = self._compute_basis()
         self._reptables = {}
+        self._chi = {}
+        # row c is x -> trace(c*x); the trace is F_p-linear, so the trace of
+        # a psi-argument is the sum of these rows over its terms, mod p
+        F = field
+        self._tr = [[F.trace(F.mul(c, x)) for x in F.elements()] for c in F.elements()]
 
     # -- basis ---------------------------------------------------------------
 
@@ -227,6 +232,13 @@ class HeckeAlgebra:
 
     # -- structure constants -----------------------------------------------------
 
+    def _chars(self, t: tuple) -> tuple:
+        """chi_t at every root index (slot 0 unused), filled once per pair."""
+        if t not in self._chi:
+            G = self.G
+            self._chi[t] = (0,) + tuple(G.chi_at(t, i) for i in range(1, 2 * G.N + 1))
+        return self._chi[t]
+
     def _reps(self, kinds: tuple) -> dict:
         tbl = self._reptables.get(kinds)
         if tbl is not None:
@@ -241,30 +253,64 @@ class HeckeAlgebra:
                     G.unipotent(r.tail_x), G.invert(G.unipotent(r.tail_z))
                 )
                 entry = (
-                    F.add(r.head_z[0], r.head_z[1]),
+                    F.trace(F.add(r.head_z[0], r.head_z[1])),
                     r.head_x[0],
                     r.head_x[1],
                     wel.u[0],
                     wel.u[1],
                 )
                 buckets.setdefault((r.t_zero, r.t_mu), []).append(entry)
-        zinv_x = W.mult(W.inv(z), x)
-        yinv = W.inv(y)
+        # route: character pair (cz1, cz2) of k -> (k, trace rows of wz1, wz2)
+        zinv = W.inv(z)
+        zinv_x = W.mult(zinv, x)
+        pz1, pz2 = W.act(zinv_x, 1), W.act(zinv_x, 2)
+        wz1, wz2 = W.act(zinv, 1), W.act(zinv, 2)
+        route, one = {}, {}
+        for k in self.basis:
+            if k.kind == kinds[2]:
+                chi = self._chars(self.point(k)[1])
+                cz = (F.inv(chi[pz1]), F.inv(chi[pz2]))
+                hop = (k, self._tr[chi[wz1]], self._tr[chi[wz2]])
+                route.setdefault(cz, []).append(hop)
+                one[k] = {cz: [hop]}
         tbl = {
-            "buckets": buckets,
-            "t_zeros": tuple(sorted({key[0] for key in buckets})),
-            "pz": (W.act(zinv_x, 1), W.act(zinv_x, 2)),
-            "py": (W.act(yinv, 1), W.act(yinv, 2)),
-            "wz": (W.act(W.inv(z), 1), W.act(W.inv(z), 2)),
+            "buckets": tuple(buckets.items()),
+            "py": (W.act(W.inv(y), 1), W.act(W.inv(y), 2)),
+            "route": route,
+            "one": one,
         }
         self._reptables[kinds] = tbl
         return tbl
+
+    def _sweep(self, i: BasisElem, j: BasisElem, kind: int, route: dict) -> dict:
+        """Zeta counts of S_ij^k for the k in route, one walk over the buckets:
+        bucket (t0, tmu) serves the k whose character pair cz solves the
+        forced-torus equation tmu = tx * t0 * cz * cy, componentwise."""
+        F = self.F
+        p, mul, div = F.p, F.mul, F.div
+        tbl = self._reps((i.kind, j.kind, kind))
+        tx = self.point(i)[1]
+        chi_y = self._chars(self.point(j)[1])
+        cy1, cy2 = chi_y[tbl["py"][0]], chi_y[tbl["py"][1]]
+        xy1, xy2 = mul(tx[0], cy1), mul(tx[1], cy2)
+        out = {}
+        for (t0, tmu), entries in tbl["buckets"]:
+            need = (div(tmu[0], mul(xy1, t0[0])), div(tmu[1], mul(xy2, t0[1])))
+            hops = route.get(need)
+            if hops is None:
+                continue
+            wy1, wy2 = self._tr[mul(t0[0], cy1)], self._tr[mul(t0[1], cy2)]
+            for k, wz1, wz2 in hops:
+                counts = out.setdefault(k, [0] * p)
+                for dv, du1, du2, dw1, dw2 in entries:
+                    counts[(dv - wz1[du1] - wz2[du2] - wy1[dw1] - wy2[dw2]) % p] += 1
+        return out
 
     def structure_constant(
         self, i: BasisElem, j: BasisElem, k: BasisElem, method: str = "fast"
     ) -> CycloNum:
         """Coefficient of e_k in e_i e_j: sum of phi(Dv - Du - Du')."""
-        F, G, W = self.F, self.G, self.W
+        F, G = self.F, self.G
         x, tx = self.point(i)
         y, ty = self.point(j)
         z, tz = self.point(k)
@@ -282,42 +328,18 @@ class HeckeAlgebra:
             return CycloNum.from_zeta_counts(F.p, counts)
         if method != "fast":
             raise ValueError("method must be 'fast' or 'direct'")
-        tbl = self._reps((i.kind, j.kind, k.kind))
-        pz1, pz2 = tbl["pz"]
-        py1, py2 = tbl["py"]
-        cz1 = F.inv(G.chi_at(tz, pz1))
-        cz2 = F.inv(G.chi_at(tz, pz2))
-        cy1 = G.chi_at(ty, py1)
-        cy2 = G.chi_at(ty, py2)
-        wz1 = G.chi_at(tz, tbl["wz"][0])
-        wz2 = G.chi_at(tz, tbl["wz"][1])
-        for t0 in tbl["t_zeros"]:
-            forced = (
-                F.mul(F.mul(tx[0], t0[0]), F.mul(cz1, cy1)),
-                F.mul(F.mul(tx[1], t0[1]), F.mul(cz2, cy2)),
-            )
-            entries = tbl["buckets"].get((t0, forced))
-            if not entries:
-                continue
-            wy1 = F.mul(t0[0], cy1)
-            wy2 = F.mul(t0[1], cy2)
-            for dv, du1, du2, dw1, dw2 in entries:
-                arg = F.sub(
-                    dv,
-                    F.add(
-                        F.add(F.mul(wz1, du1), F.mul(wz2, du2)),
-                        F.add(F.mul(wy1, dw1), F.mul(wy2, dw2)),
-                    ),
-                )
-                counts[F.trace(arg)] += 1
+        route = self._reps((i.kind, j.kind, k.kind))["one"][k]
+        counts = self._sweep(i, j, k.kind, route).get(k, counts)
         return CycloNum.from_zeta_counts(F.p, counts)
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
+        """e_i e_j: one walk over the buckets of each kind pattern."""
+        p = self.F.p
         out = {}
-        for k in self.basis:
-            s = self.structure_constant(i, j, k)
-            if not s.is_zero():
-                out[k] = s
+        for kind in range(4):
+            route = self._reps((i.kind, j.kind, kind))["route"]
+            for k, counts in self._sweep(i, j, kind, route).items():
+                out[k] = CycloNum.from_zeta_counts(p, counts)
         return HeckeVec(out)
 
     # -- closed forms ------------------------------------------------------------
@@ -524,11 +546,12 @@ class HeckeAlgebra:
                     arg = sub(cc, div(mul(bb, bb), mul(F.of(4), aa)))
                     part = part + ph(arg).scale(legendre(aa))
                 acc = acc + gs * part
-            # branch three: Kloosterman-in-t sum
+            # branch three: Kloosterman-in-t sum, phi(outer) folded into the counts
             if F.is_square(tb):
                 A = div(a1, mul(a2, a3))
                 B = tb
-                for z in sorted(F.rth_roots(B, 2)):
+                counts = [0] * p
+                for z in F.rth_roots(B, 2):
                     for t in F.units():
                         t2 = mul(t, t)
                         t3 = mul(t2, t)
@@ -557,7 +580,9 @@ class HeckeAlgebra:
                             sub(neg(inv(b3)), div(mul(A, z), t)),
                             div(A, mul(b2, t2)),
                         )
-                        acc = acc + ph(outer) * root_sum(F, q - 1, 1, ka, kb)
+                        for w in F.units():
+                            counts[F.trace(add(outer, add(mul(ka, w), div(kb, w))))] += 1
+                acc = acc + CycloNum.from_zeta_counts(p, counts)
             return acc
         if kinds == (0, 0, 1):
             (a1, b1), (a2, b2), (c3,) = s1, s2, s3

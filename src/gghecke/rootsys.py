@@ -219,11 +219,6 @@ def roots(tag: str) -> tuple[tuple[int, int], ...]:
     return root_system(tag).pos
 
 
-def weyl_act(tag: str, w: WeylElem, pair: tuple[int, int]) -> tuple[int, int]:
-    rs = root_system(tag)
-    return rs.root(weyl_group(tag).act(w, rs.index(pair)))
-
-
 if __name__ == "__main__":
     import doctest
 

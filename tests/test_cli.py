@@ -226,6 +226,17 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec", ["1,1,5,1", "1,7,1,1", "1,-1,1,1"])
+def test_kloosterman_rejects_non_codes(spec, capsys):
+    # 5 and 7 are no codes of F_3 and -1 is none either: usage error, one line
+    assert run_cli(["sums", "--q", "3", "--kloosterman", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_modulus_override(capsys):
     rc, payload = run_json(
         ["basis", "--type", "A2", "--p", "2", "--f", "2", "--modulus", "1,1,1"],

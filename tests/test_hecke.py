@@ -107,6 +107,37 @@ def test_fast_agrees_with_direct(tag, q):
         assert a == b, (i, j, k)
 
 
+@pytest.mark.parametrize("tag,q", [("A2", (3,)), ("A2", (2, 2)), ("B2", (3,))])
+def test_multiply_agrees_with_direct(tag, q):
+    # one bucket walk per kind pattern against coset enumeration per k
+    H = hecke_algebra(tag, make_field(*q))
+    for i, j in itertools.product(H.basis, repeat=2):
+        want = HeckeVec(
+            {k: H.structure_constant(i, j, k, method="direct") for k in H.basis}
+        )
+        assert H.multiply(i, j) == want, (i, j)
+
+
+def test_single_constant_agrees_with_multiply():
+    H = hecke_algebra("A2", make_field(5))
+    for i, j in itertools.product(H.basis, repeat=2):
+        prod = H.multiply(i, j)
+        for k in H.basis:
+            assert H.structure_constant(i, j, k) == prod.get(k, 5), (i, j, k)
+
+
+@pytest.mark.parametrize("tag,q", [("A2", (2, 2)), ("B2", (5,))])
+def test_character_table_matches_group(tag, q):
+    F = make_field(*q)
+    H = hecke_algebra(tag, F)
+    G = H.G
+    for t in itertools.product(F.units(), repeat=2):
+        row = H._chars(t)
+        assert len(row) == 2 * G.N + 1
+        for idx in range(1, 2 * G.N + 1):
+            assert row[idx] == G.chi_at(t, idx), (t, idx)
+
+
 @pytest.mark.parametrize("tag", ["A2", "B2"])
 def test_coefficients_are_ints(tag):
     # every structure constant is an integer combination of powers of zeta
