@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .gf import Field
 from .rootsys import RootSystem, WeylElem, WeylGroup, root_system, weyl_group
@@ -258,6 +259,9 @@ class Group:
                     self._desc[g] = i
                     break
         self._id = GroupElem(self, (0,) * self.N, (1, 1), self.W.identity, (0,) * self.N)
+        self._lifts = {
+            w: self.normal_form([("n", i, 1) for i in w.word]) for w in self.W.elements
+        }
 
     # -- torus helpers ----------------------------------------------------------
 
@@ -420,25 +424,22 @@ class Group:
             v = items
         wnew = self.W.mult(w, self.W.simple(i))
         decreasing = self.W.act(w, i) > self.N
-        if not decreasing:
-            if ci:
-                raise AssertionError("alpha_i coordinate in u' outside inversion set")
-            st[2] = wnew
-            st[3] = self._coords(self._collect(self._conj_n_back(i, v), lambda k: k))
-            return
+        if ci and not decreasing:
+            raise AssertionError("alpha_i coordinate in u' outside inversion set")
         if ci == 0:
             st[2] = wnew
             st[3] = self._coords(self._collect(self._conj_n_back(i, v), lambda k: k))
-            # n_w = n_{wnew} n_i, and the leftover n_i^2 = h_i(-1) moves into t
-            neg1 = F.neg(F.of(1))
-            cart = self.rs.cartan[i - 1]
-            h = (F.pow(neg1, cart[0]), F.pow(neg1, cart[1]))
-            winv = self.W.inv(wnew)
-            tt = st[1]
-            st[1] = [
-                F.mul(tt[0], self.chi_at(h, self.W.act(winv, 1))),
-                F.mul(tt[1], self.chi_at(h, self.W.act(winv, 2))),
-            ]
+            if decreasing:
+                # n_w = n_{wnew} n_i, and the leftover n_i^2 = h_i(-1) moves into t
+                neg1 = F.neg(F.of(1))
+                cart = self.rs.cartan[i - 1]
+                h = (F.pow(neg1, cart[0]), F.pow(neg1, cart[1]))
+                winv = self.W.inv(wnew)
+                tt = st[1]
+                st[1] = [
+                    F.mul(tt[0], self.chi_at(h, self.W.act(winv, 1))),
+                    F.mul(tt[1], self.chi_at(h, self.W.act(winv, 2))),
+                ]
             return
         # u_i(ci) n_i = n_i u_{-i}(-ci), then expand the negative root element
         st[3] = self._coords(v)
@@ -503,7 +504,7 @@ class Group:
         return GroupElem(self, (0,) * self.N, (chi1, chi2), self.W.identity, (0,) * self.N)
 
     def lift(self, w: WeylElem) -> GroupElem:
-        return self.normal_form([("n", i, 1) for i in w.word])
+        return self._lifts[w]
 
     def delta_coords(self, u) -> tuple[int, int]:
         """Simple-root coordinates; a homomorphism U -> (F_q, +)^2."""
@@ -520,42 +521,16 @@ class Group:
 
     def iter_elements(self):
         """Every normal form, exactly once."""
-        F = self.F
-        units = list(F.units())
-        space = list(F.elements())
+        F, n = self.F, self.N
         for w in self.W.elements:
             inv = sorted(self._inv_sets[w])
-            for t1 in units:
-                for t2 in units:
-                    yield from self._iter_cell(w, inv, (t1, t2), space)
-
-    def _iter_cell(self, w, inv, t, space):
-        n = self.N
-        ucounter = [0] * n
-
-        def rec_u(pos, coords):
-            if pos == n:
-                yield tuple(coords)
-                return
-            for x in space:
-                coords[pos] = x
-                yield from rec_u(pos + 1, coords)
-            coords[pos] = 0
-
-        for u in rec_u(0, [0] * n):
-            base = [0] * n
-
-            def rec_u2(k, coords):
-                if k == len(inv):
-                    yield tuple(coords)
-                    return
-                for x in space:
-                    coords[inv[k] - 1] = x
-                    yield from rec_u2(k + 1, coords)
-                coords[inv[k] - 1] = 0
-
-            for u2 in rec_u2(0, base):
-                yield GroupElem(self, u, t, w, u2)
+            for t in product(F.units(), repeat=2):
+                for u in product(F.elements(), repeat=n):
+                    for vals in product(F.elements(), repeat=len(inv)):
+                        u2 = [0] * n
+                        for idx, x in zip(inv, vals):
+                            u2[idx - 1] = x
+                        yield GroupElem(self, u, t, w, u2)
 
     def order(self) -> int:
         q = self.F.q
@@ -566,11 +541,6 @@ class Group:
         )
 
 
-_GROUPS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def chevalley_group(tag: str, field: Field) -> Group:
-    key = (tag, field)
-    if key not in _GROUPS:
-        _GROUPS[key] = Group(tag, field)
-    return _GROUPS[key]
+    return Group(tag, field)

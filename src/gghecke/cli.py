@@ -16,7 +16,7 @@ import sys
 from multiprocessing import Pool
 
 from .cyclo import CycloNum, gauss_sum, kloosterman
-from .gf import Field, make_field
+from .gf import Field, field_from_dict, make_field
 from .hecke import BasisElem, HeckeAlgebra, hecke_algebra
 from .intersect import intersect, left_coset_key, rep_to_dict
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_constant, brute_intersect
@@ -162,8 +162,7 @@ def _triples(H: HeckeAlgebra, args) -> list:
 
 def _constants_chunk(payload) -> list:
     tag, fdict, triples = payload
-    F = make_field(fdict["p"], fdict["f"], tuple(fdict["modulus"]))
-    H = hecke_algebra(tag, F)
+    H = hecke_algebra(tag, field_from_dict(fdict))
     out = []
     for i, j, k in triples:
         s = H.structure_constant(i, j, k)
@@ -189,22 +188,19 @@ def _fan_out(tag: str, F: Field, triples: list, jobs: int, worker) -> list:
     # never more workers than CPUs or chunks, whatever --jobs asks for
     size = min(jobs, os.cpu_count() or 1, len(buckets))
     if size <= 1:
-        return worker((tag, F.to_dict(), triples))
-    payloads = [(tag, F.to_dict(), chunk) for chunk in buckets.values()]
-    with Pool(size) as pool:
-        parts = pool.map(worker, payloads)
-    merged = []
-    for part in parts:
-        merged.extend(part)
-    merged.sort(key=lambda r: (r["i"], r["j"], r["k"]))
-    return merged
+        records = worker((tag, F.to_dict(), triples))
+    else:
+        payloads = [(tag, F.to_dict(), chunk) for chunk in buckets.values()]
+        with Pool(size) as pool:
+            records = [r for part in pool.map(worker, payloads) for r in part]
+    records.sort(key=lambda r: (r["i"], r["j"], r["k"]))
+    return records
 
 
 def _cmd_constants(args) -> int:
     H = _algebra_of(args)
     triples = _triples(H, args)
     records = _fan_out(args.type, H.F, triples, args.jobs, _constants_chunk)
-    records.sort(key=lambda r: (r["i"], r["j"], r["k"]))
     _write(
         args,
         emit(records, args.format, ["i", "j", "k", "render", "value"]),
@@ -224,8 +220,7 @@ def _coset_tags(H: HeckeAlgebra, i, j, k) -> list:
 
 def _verify_tables_chunk(payload) -> list:
     tag, fdict, triples = payload
-    F = make_field(fdict["p"], fdict["f"], tuple(fdict["modulus"]))
-    H = hecke_algebra(tag, F)
+    H = hecke_algebra(tag, field_from_dict(fdict))
     out = []
     for i, j, k in triples:
         a = H.structure_constant(i, j, k)
@@ -250,7 +245,6 @@ def _cmd_verify_tables(args) -> int:
     mismatches = _fan_out(
         args.type, H.F, triples, args.jobs, _verify_tables_chunk
     )
-    mismatches.sort(key=lambda r: (r["i"], r["j"], r["k"]))
     payload = {
         "checked": len(triples),
         "mismatches": mismatches,
@@ -329,7 +323,15 @@ def _cmd_sums(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_common(sub, with_type=True):
+# flags that only some subcommands read; each is attached only where it is read
+_EXTRA = {
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "jobs": {"type": int, "default": 1},
+    "budget": {"type": int, "default": DEFAULT_BUDGET},
+}
+
+
+def _add_common(sub, *extra, with_type=True):
     if with_type:
         sub.add_argument("--type", choices=("A2", "B2"), required=True)
     sub.add_argument("--q", type=int, default=None)
@@ -337,9 +339,8 @@ def _add_common(sub, with_type=True):
     sub.add_argument("--f", type=int, default=1)
     sub.add_argument("--modulus", default=None)
     sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    for name in extra:
+        sub.add_argument(f"--{name}", **_EXTRA[name])
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -350,17 +351,17 @@ def _parser() -> argparse.ArgumentParser:
     subs = top.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("basis", help="list the standard basis")
-    _add_common(sub)
+    _add_common(sub, "format")
     sub.set_defaults(fn=_cmd_basis)
 
     sub = subs.add_parser("intersect", help="coset representatives of a triple")
-    _add_common(sub)
+    _add_common(sub, "format")
     for flag in ("--x", "--y", "--z"):
         sub.add_argument(flag, required=True, metavar="KIND:PARAMS")
     sub.set_defaults(fn=_cmd_intersect)
 
     sub = subs.add_parser("constants", help="structure constants")
-    _add_common(sub)
+    _add_common(sub, "format", "jobs")
     for flag in ("--i", "--j", "--k"):
         sub.add_argument(flag, default=None, metavar="KIND:PARAMS")
     sub.set_defaults(fn=_cmd_constants)
@@ -368,7 +369,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "verify-tables", help="algorithm vs closed-form tables"
     )
-    _add_common(sub)
+    _add_common(sub, "jobs")
     for flag in ("--i", "--j", "--k"):
         sub.add_argument(flag, default=None, metavar="KIND:PARAMS")
     sub.set_defaults(fn=_cmd_verify_tables)
@@ -376,13 +377,13 @@ def _parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "verify-oracle", help="algorithm vs brute-force oracle"
     )
-    _add_common(sub)
+    _add_common(sub, "budget")
     for flag in ("--i", "--j", "--k"):
         sub.add_argument(flag, default=None, metavar="KIND:PARAMS")
     sub.set_defaults(fn=_cmd_verify_oracle)
 
     sub = subs.add_parser("sums", help="character sums over the field")
-    _add_common(sub, with_type=False)
+    _add_common(sub, "format", with_type=False)
     sub.add_argument(
         "--kloosterman",
         action="append",
@@ -399,7 +400,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (ValueError, KeyError, BudgetExceeded) as exc:
+    except (ValueError, KeyError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

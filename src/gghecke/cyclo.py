@@ -201,6 +201,27 @@ def quad_char_sum(field: gf.Field, A: int, B: int, C: int) -> CycloNum:
     return (gauss_sum(field) * phi(field, shift)).scale(sign)
 
 
+def root_sum(
+    field: gf.Field, ell: int, target: int, a: int, b: int, a2: int = 0, b2: int = 0
+) -> CycloNum:
+    """Sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over z with z^ell = target.
+
+    The residues of the traces are counted, so the sum is one from_zeta_counts;
+    an empty root set gives 0.
+    """
+    F = field
+    counts = [0] * F.p
+    for z in F.rth_roots(target, ell):
+        zi = F.inv(z)
+        arg = F.add(F.mul(a, z), F.mul(b, zi))
+        if a2:
+            arg = F.add(arg, F.mul(a2, F.mul(z, z)))
+        if b2:
+            arg = F.add(arg, F.mul(b2, F.mul(zi, zi)))
+        counts[F.trace(arg)] += 1
+    return CycloNum.from_zeta_counts(F.p, counts)
+
+
 def kloosterman(
     field: gf.Field, l: int, B: int, a: int, b: int, ap: int = 0, bp: int = 0
 ) -> CycloNum:
@@ -216,17 +237,7 @@ def kloosterman(
         raise ValueError(f"B, a, b, ap, bp must be codes 0..{field.q - 1} of F_{field.q}")
     if B == 0:
         raise ValueError("B must be a unit")
-    counts = [0] * field.p
-    for z in field.rth_roots(B, l):
-        zi = field.inv(z)
-        arg = field.mul(a, z)
-        arg = field.add(arg, field.mul(b, zi))
-        if ap:
-            arg = field.add(arg, field.mul(ap, field.mul(z, z)))
-        if bp:
-            arg = field.add(arg, field.mul(bp, field.mul(zi, zi)))
-        counts[field.trace(arg)] += 1
-    return CycloNum.from_zeta_counts(field.p, counts)
+    return root_sum(field, l, B, a, b, ap, bp)
 
 
 if __name__ == "__main__":

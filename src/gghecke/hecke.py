@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import Group, GroupElem, chevalley_group
-from .cyclo import CycloNum, gauss_sum, phi
+from .cyclo import CycloNum, gauss_sum, phi, root_sum
 from .gf import Field
 from .intersect import build_rep, distinguished_subexprs, intersect, mu_assignments
 
@@ -26,8 +26,6 @@ __all__ = [
     "HeckeAlgebra",
     "hecke_algebra",
     "standard_basis",
-    "root_sum",
-    "root_sum_quartic",
 ]
 
 _ARITY = {0: 2, 1: 1, 2: 1, 3: 0}
@@ -102,31 +100,6 @@ class HeckeVec:
         inner = " + ".join(f"({v.render()})*{k!r}" for k, v in sorted(
             self.coeffs.items(), key=lambda kv: (kv[0].kind, kv[0].params)))
         return inner or "0"
-
-
-def root_sum(field: Field, ell: int, target: int, a: int, b: int) -> CycloNum:
-    """Sum of phi(a*z + b/z) over z with z^ell = target."""
-    F = field
-    counts = [0] * F.p
-    for z in F.rth_roots(target, ell):
-        counts[F.trace(F.add(F.mul(a, z), F.div(b, z)))] += 1
-    return CycloNum.from_zeta_counts(F.p, counts)
-
-
-def root_sum_quartic(
-    field: Field, ell: int, target: int, a: int, b: int, a2: int, b2: int
-) -> CycloNum:
-    """Sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over z^ell = target."""
-    F = field
-    counts = [0] * F.p
-    for z in F.rth_roots(target, ell):
-        zz = F.mul(z, z)
-        arg = F.add(
-            F.add(F.mul(a2, zz), F.mul(a, z)),
-            F.add(F.div(b, z), F.div(b2, zz)),
-        )
-        counts[F.trace(arg)] += 1
-    return CycloNum.from_zeta_counts(F.p, counts)
 
 
 class HeckeAlgebra:
@@ -243,21 +216,20 @@ class HeckeAlgebra:
         tbl = self._reptables.get(kinds)
         if tbl is not None:
             return tbl
-        G, F, W = self.G, self.F, self.W
+        F, W = self.F, self.W
         x, y, z = (self._bw[k] for k in kinds)
         buckets = {}
         for sub in distinguished_subexprs(x, y, z):
             for mu in mu_assignments(sub, F):
                 r = build_rep(sub, mu)
-                wel = G.multiply(
-                    G.unipotent(r.tail_x), G.invert(G.unipotent(r.tail_z))
-                )
+                # delta_coords is a homomorphism U -> F_q^2, so the simple-root
+                # coordinates of tail_x * tail_z^{-1} are differences
                 entry = (
                     F.trace(F.add(r.head_z[0], r.head_z[1])),
                     r.head_x[0],
                     r.head_x[1],
-                    wel.u[0],
-                    wel.u[1],
+                    F.sub(r.tail_x[0], r.tail_z[0]),
+                    F.sub(r.tail_x[1], r.tail_z[1]),
                 )
                 buckets.setdefault((r.t_zero, r.t_mu), []).append(entry)
         # route: character pair (cz1, cz2) of k -> (k, trace rows of wz1, wz2)
@@ -413,7 +385,7 @@ class HeckeAlgebra:
             (a1, b1), (a2, b2), (a3, b3) = s1, s2, s3
             target = div(mul(a1, mul(b1, b1)), m3(mul(a2, a2), a3, mul(b2, mul(b3, b3))))
             acc = zero
-            for z in sorted(F.rth_roots(target, 3)):
+            for z in F.rth_roots(target, 3):
                 sig1 = add(
                     add(m1, neg(div(b3, b1))),
                     add(
@@ -523,8 +495,8 @@ class HeckeAlgebra:
             if F.is_square(ta) and F.is_square(tb):
                 lhs = sub(div(b2, b1), 1)
                 coef = div(m3(a3, b2, b3), mul(a1, b1))
-                for z1 in sorted(F.rth_roots(ta, 2)):
-                    for z2 in sorted(F.rth_roots(tb, 2)):
+                for z1 in F.rth_roots(ta, 2):
+                    for z2 in F.rth_roots(tb, 2):
                         if lhs != mul(coef, mul(z1, z2)):
                             continue
                         arg = add(
@@ -540,7 +512,7 @@ class HeckeAlgebra:
                 gs = gauss_sum(F)
                 bb = sub(1, div(a3, a1))
                 part = zero
-                for z in sorted(F.rth_roots(tb, 2)):
+                for z in F.rth_roots(tb, 2):
                     aa = div(mul(a2, a3), m3(a1, b3, z))
                     cc = add(z, add(div(inv(b2), z), div(inv(b3), z)))
                     arg = sub(cc, div(mul(bb, bb), mul(F.of(4), aa)))
@@ -588,7 +560,7 @@ class HeckeAlgebra:
             (a1, b1), (a2, b2), (c3,) = s1, s2, s3
             target = div(b1, mul(b2, c3))
             acc = zero
-            for z in sorted(F.rth_roots(target, 2)):
+            for z in F.rth_roots(target, 2):
                 aa = add(
                     sub(
                         sub(sub(m1, div(a1, a2)), div(b2, b1)),
@@ -600,7 +572,7 @@ class HeckeAlgebra:
                 acc = acc + root_sum(F, q - 1, 1, aa, bb).scale(q)
             if a1 == neg(a2):
                 hits = 0
-                for z in sorted(F.rth_roots(target, 2)):
+                for z in F.rth_roots(target, 2):
                     if inv(mul(a1, z)) == sub(div(b2, b1), 1):
                         hits += 1
                 if hits:
@@ -609,7 +581,7 @@ class HeckeAlgebra:
         if kinds == (0, 0, 2):
             (a1, b1), (a2, b2), (d3,) = s1, s2, s3
             acc = zero
-            for z in sorted(F.rth_roots(div(b1, b2), 2)):
+            for z in F.rth_roots(div(b1, b2), 2):
                 t1 = mul(
                     mul(a2, d3),
                     sub(
@@ -620,7 +592,7 @@ class HeckeAlgebra:
                 t2 = mul(d3, sub(inv(mul(a1, z)), inv(a1)))
                 t3 = sub(div(mul(a1, z), mul(a2, d3)), inv(d3))
                 t4 = neg(div(a1, m3(a2, b2, d3)))
-                acc = acc + root_sum_quartic(F, q - 1, 1, t2, t3, t1, t4).scale(q)
+                acc = acc + root_sum(F, q - 1, 1, t2, t3, t1, t4).scale(q)
             if b1 == b2:
                 sgn = legendre(neg(div(mul(a2, d3), a1)))
                 term = gauss_sum(F) * ph(div(d3, mul(F.of(4), mul(a1, a2))))
@@ -629,7 +601,7 @@ class HeckeAlgebra:
         if kinds == (0, 1, 0):
             (a1, b1), (c2,), (a3, b3) = s1, s2, s3
             acc = zero
-            for z in sorted(F.rth_roots(div(c2, mul(b1, b3)), 2)):
+            for z in F.rth_roots(div(c2, mul(b1, b3)), 2):
                 aa = sub(
                     sub(
                         sub(neg(mul(z, b3)), mul(div(mul(a3, b3), a1), z)),
@@ -644,7 +616,7 @@ class HeckeAlgebra:
                 acc = acc + root_sum(F, q - 1, 1, aa, bb)
             if a1 == neg(a3):
                 hits = 0
-                for z in sorted(F.rth_roots(div(b1, mul(b3, c2)), 2)):
+                for z in F.rth_roots(div(b1, mul(b3, c2)), 2):
                     if inv(z) == neg(div(c2, b1)):
                         hits += 1
                 if hits:
@@ -662,7 +634,7 @@ class HeckeAlgebra:
         if kinds == (0, 2, 0):
             (a1, b1), (d2,), (a3, b3) = s1, s2, s3
             acc = zero
-            for z in sorted(F.rth_roots(div(b1, b3), 2)):
+            for z in F.rth_roots(div(b1, b3), 2):
                 t1 = mul(
                     mul(a3, d2),
                     add(
@@ -676,7 +648,7 @@ class HeckeAlgebra:
                 )
                 t3 = neg(inv(a3))
                 t4 = div(a1, mul(a3, d2))
-                acc = acc + root_sum_quartic(F, q - 1, 1, t2, t3, t1, t4)
+                acc = acc + root_sum(F, q - 1, 1, t2, t3, t1, t4)
             if b1 == b3:
                 sgn = legendre(div(mul(a3, d2), mul(a1, b3)))
                 dd = sub(1, div(a3, a1))
@@ -695,8 +667,8 @@ class HeckeAlgebra:
         if kinds == (0, 2, 2):
             (a1, b1), (d2,), (d3,) = s1, s2, s3
             acc = zero
-            for z1 in sorted(F.rth_roots(neg(div(a1, mul(d2, d3))), 2)):
-                for z3 in sorted(F.rth_roots(neg(div(mul(a1, b1), mul(d2, d3))), 2)):
+            for z1 in F.rth_roots(neg(div(a1, mul(d2, d3))), 2):
+                for z3 in F.rth_roots(neg(div(mul(a1, b1), mul(d2, d3))), 2):
                     arg = add(
                         add(z3, neg(inv(mul(d3, z1)))),
                         add(inv(mul(d2, z1)), mul(F.of(2), div(z1, z3))),
@@ -727,14 +699,14 @@ class HeckeAlgebra:
             if d2 != neg(d3):
                 return zero
             acc = zero
-            for z in sorted(F.rth_roots(c1, 2)):
+            for z in F.rth_roots(c1, 2):
                 acc = acc + ph(div(z, d3))
             return acc.scale(q)
         if kinds == (2, 2, 0):
             (d1,), (d2,), (a3, b3) = s1, s2, s3
             acc = zero
-            for z1 in sorted(F.rth_roots(div(d1, mul(a3, d2)), 2)):
-                for z3 in sorted(F.rth_roots(div(d1, m3(a3, b3, d2)), 2)):
+            for z1 in F.rth_roots(div(d1, mul(a3, d2)), 2):
+                for z3 in F.rth_roots(div(d1, m3(a3, b3, d2)), 2):
                     arg = add(
                         add(neg(z1), neg(inv(mul(d2, z3)))),
                         add(neg(inv(mul(a3, z1))), mul(F.of(2), div(z1, mul(b3, z3)))),

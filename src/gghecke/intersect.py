@@ -58,8 +58,7 @@ class Subexpr:
 
     Positions m = 1..n count from the right end of the word; jvec and
     types are stored in display order (leftmost letter first), so
-    position m lives at index n - m.  taus[m] is the product of the
-    chosen letters at positions m..1; a_set/b_set/c_set hold positions.
+    position m lives at index n - m.
     """
 
     tag: str
@@ -68,14 +67,6 @@ class Subexpr:
     z: WeylElem
     jvec: tuple
     types: str
-    taus: tuple
-    a_set: frozenset
-    b_set: frozenset
-    c_set: frozenset
-
-    @property
-    def word(self) -> tuple:
-        return self.x.word
 
     def __len__(self) -> int:
         return len(self.jvec)
@@ -119,8 +110,8 @@ class CosetRep:
     tail_z: tuple
 
 
-def _walk(tag: str, x: WeylElem, y: WeylElem, jvec) -> tuple:
-    """Types and partial products for a j-vector; raises if not valid."""
+def _walk(tag: str, x: WeylElem, y: WeylElem, jvec) -> str:
+    """The type string of a j-vector; raises if it is not distinguished."""
     W = weyl_group(tag)
     word = x.word
     n = len(word)
@@ -128,7 +119,6 @@ def _walk(tag: str, x: WeylElem, y: WeylElem, jvec) -> tuple:
     if len(jvec) != n:
         raise ValueError("j-vector length does not match the word")
     tau = W.identity
-    taus = [tau]
     types = []
     for m in range(1, n + 1):
         i = word[n - m]
@@ -143,26 +133,7 @@ def _walk(tag: str, x: WeylElem, y: WeylElem, jvec) -> tuple:
             tau = W.mult(W.simple(i), tau)
         else:
             raise ValueError("j-vector entry is neither 0 nor the word letter")
-        taus.append(tau)
-    return "".join(reversed(types)), tuple(taus)
-
-
-def _make_subexpr(tag, x, y, z, jvec) -> Subexpr:
-    types, taus = _walk(tag, x, y, jvec)
-    n = len(jvec)
-    by_m = {m: types[n - m] for m in range(1, n + 1)}
-    return Subexpr(
-        tag=tag,
-        x=x,
-        y=y,
-        z=z,
-        jvec=tuple(jvec),
-        types=types,
-        taus=taus,
-        a_set=frozenset(m for m, c in by_m.items() if c == "A"),
-        b_set=frozenset(m for m, c in by_m.items() if c == "B"),
-        c_set=frozenset(m for m, c in by_m.items() if c == "C"),
-    )
+    return "".join(reversed(types))
 
 
 @lru_cache(maxsize=None)
@@ -188,13 +159,12 @@ def distinguished_subexprs(x: WeylElem, y: WeylElem, z: WeylElem) -> tuple:
         rec(m + 1, W.mult(W.simple(i), tau), jrev + [i])
 
     rec(1, W.identity, [])
-    return tuple(_make_subexpr(tag, x, y, z, j) for j in sorted(found))
+    return tuple(Subexpr(tag, x, y, z, j, _walk(tag, x, y, j)) for j in sorted(found))
 
 
 def classify(sub: Subexpr) -> str:
     """Recompute the type string of a subexpression from scratch."""
-    types, _ = _walk(sub.tag, sub.x, sub.y, sub.jvec)
-    return types
+    return _walk(sub.tag, sub.x, sub.y, sub.jvec)
 
 
 def mu_assignments(sub: Subexpr, field: Field):

@@ -214,11 +214,6 @@ def weyl_group(tag: str) -> WeylGroup:
     return WeylGroup(root_system(tag))
 
 
-def roots(tag: str) -> tuple[tuple[int, int], ...]:
-    """The positive roots in the fixed order."""
-    return root_system(tag).pos
-
-
 if __name__ == "__main__":
     import doctest
 

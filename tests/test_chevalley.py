@@ -57,6 +57,11 @@ def test_weyl_lift_relations():
                 [("u", i, 1), ("u", i + G.N, F.neg(1)), ("u", i, 1)]
             )
             assert n == built
+    # the lift table built with the group is the product of n_i(1) over the word
+    for tag, F in (("A2", make_field(2, 2)), ("B2", make_field(5))):
+        G = chevalley_group(tag, F)
+        for w in G.W.elements:
+            assert G.lift(w) == G.normal_form([("n", i, 1) for i in w.word])
 
 
 def test_torus_conjugation():

@@ -1,5 +1,6 @@
 """Command-line behavior: records, formats, exit codes, determinism."""
 import json
+import os
 
 import pytest
 
@@ -219,11 +220,31 @@ def test_sums(capsys):
         ["intersect", "--type", "A2", "--q", "3", "--x", "9:1", "--y", "3:", "--z", "3:"],
         ["sums", "--q", "3", "--kloosterman", "1,2"],
         ["sums", "--q", "3", "--kloosterman", "nope"],
+        # each flag is attached only to the subcommands that read it
+        ["basis", "--type", "A2", "--q", "2", "--jobs", "2"],
+        ["basis", "--type", "A2", "--q", "2", "--budget", "10"],
+        ["intersect", "--type", "A2", "--q", "2", "--x", "3:", "--y", "3:", "--z", "3:",
+         "--jobs", "0"],
+        ["intersect", "--type", "A2", "--q", "2", "--x", "3:", "--y", "3:", "--z", "3:",
+         "--budget", "10"],
+        ["constants", "--type", "A2", "--q", "2", "--budget", "10"],
+        ["verify-tables", "--type", "A2", "--q", "2", "--budget", "10"],
+        ["verify-tables", "--type", "A2", "--q", "2", "--format", "csv"],
+        ["verify-oracle", "--type", "A2", "--q", "2", "--jobs", "4"],
+        ["verify-oracle", "--type", "A2", "--q", "2", "--format", "csv"],
+        ["sums", "--q", "3", "--jobs", "2"],
+        ["sums", "--q", "3", "--budget", "10"],
+        # an --out that cannot be opened is a usage error, not a traceback
+        ["basis", "--type", "A2", "--q", "3", "--out", os.path.join(os.devnull, "x.json")],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(argv) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if "--out" in argv:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize("spec", ["1,1,5,1", "1,7,1,1", "1,-1,1,1"])
