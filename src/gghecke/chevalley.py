@@ -239,6 +239,9 @@ class Group:
         self.W: WeylGroup = weyl_group(tag)
         self.N = self.rs.n_pos
         F = field
+        # chi_at reads root coefficients and powers x^e (e in -2..2) of every unit
+        self._coef = {i: self.rs.root(i) for i in range(1, 2 * self.N + 1)}
+        self._pow = {e: (0,) + tuple(F.pow(x, e) for x in F.units()) for e in range(-2, 3)}
         self._swaps = {
             key: tuple((k, F.of(c), m, n) for (k, c, m, n) in rules)
             for key, rules in _SWAPS[tag].items()
@@ -267,9 +270,8 @@ class Group:
 
     def chi_at(self, t, idx: int) -> int:
         """chi_t evaluated at the root with index idx."""
-        c1, c2 = self.rs.root(idx)
-        F = self.F
-        return F.mul(F.pow(t[0], c1), F.pow(t[1], c2))
+        c1, c2 = self._coef[idx]
+        return self.F.mul(self._pow[c1][t[0]], self._pow[c2][t[1]])
 
     def inv_set(self, w: WeylElem) -> frozenset:
         return self._inv_sets[w]

@@ -45,9 +45,11 @@ def _factor_q(q: int) -> tuple:
 
 def _field_of(args) -> Field:
     if args.q is not None:
+        if args.p is not None or args.f is not None:
+            _usage("give either --q or --p [--f], not both")
         p, f = _factor_q(args.q)
     elif args.p is not None:
-        p, f = args.p, args.f
+        p, f = args.p, 1 if args.f is None else args.f
     else:
         _usage("one of --q or --p is required")
     modulus = None
@@ -191,8 +193,9 @@ def _fan_out(tag: str, F: Field, triples: list, jobs: int, worker) -> list:
         records = worker((tag, F.to_dict(), triples))
     else:
         payloads = [(tag, F.to_dict(), chunk) for chunk in buckets.values()]
+        # one pattern per hand-out: the costliest (0,0,.) patterns come first
         with Pool(size) as pool:
-            records = [r for part in pool.map(worker, payloads) for r in part]
+            records = [r for part in pool.map(worker, payloads, chunksize=1) for r in part]
     records.sort(key=lambda r: (r["i"], r["j"], r["k"]))
     return records
 
@@ -336,7 +339,7 @@ def _add_common(sub, *extra, with_type=True):
         sub.add_argument("--type", choices=("A2", "B2"), required=True)
     sub.add_argument("--q", type=int, default=None)
     sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--f", type=int, default=1)
+    sub.add_argument("--f", type=int, default=None)
     sub.add_argument("--modulus", default=None)
     sub.add_argument("--out", default=None)
     for name in extra:

@@ -193,6 +193,19 @@ def _validate_mu(sub: Subexpr, mu: MuAssignment):
             raise ValueError("C-position parameter is fixed to 1")
 
 
+# build_rep's products of lifts and tori, derived once per distinct input
+# (at most |W| (q-1)^2 per group)
+@lru_cache(maxsize=None)
+def _lift_torus(G: Group, w: WeylElem, t: tuple, w2: WeylElem | None = None) -> GroupElem:
+    """n_w t, or n_w t n_{w2}."""
+    return G.multiply(G.lift(w), G.torus(*t), *(() if w2 is None else (G.lift(w2),)))
+
+
+@lru_cache(maxsize=None)
+def _lift_inverse(G: Group, w: WeylElem) -> GroupElem:
+    return G.invert(G.lift(w))
+
+
 @lru_cache(maxsize=None)
 def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
     """Normal-form D_j(mu) and extract both factorized shapes."""
@@ -222,22 +235,22 @@ def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
         G.chi_at(g.t, W.act(sub.x, 1)),
         G.chi_at(g.t, W.act(sub.x, 2)),
     )
-    xtmu = G.multiply(G.lift(sub.x), G.torus(*t_mu))
-    uxu = (G.unipotent(g.u), xtmu, G.unipotent(g.u2))
+    uxu = (G.unipotent(g.u), _lift_torus(G, sub.x, t_mu), G.unipotent(g.u2))
 
     zf = G.lift(sub.z)
-    h = G.multiply(G.invert(zf), g)
+    h = G.multiply(_lift_inverse(G, sub.z), g)
     yinv = W.inv(sub.y)
     if h.w != yinv:
         raise AssertionError("representative left the z U y^{-1} U cell")
-    t0e = G.multiply(G.lift(sub.y), G.torus(*h.t), G.lift(yinv))
+    t0e = _lift_torus(G, sub.y, h.t, yinv)
     if t0e.w.length() or any(t0e.u) or any(t0e.u2):
         raise AssertionError("correction torus is not toral")
     t_zero = t0e.t
     if F.mul(t_zero[0], t_zero[0]) != 1 or F.mul(t_zero[1], t_zero[1]) != 1:
         raise AssertionError("correction torus is not an involution")
+    # h = u t n_w u2 = v * tail with v = u; the zuy multiply-back checks it
     v = G.unipotent(h.u)
-    tail = G.multiply(G.invert(v), h)
+    tail = GroupElem(G, (0,) * G.N, h.t, h.w, h.u2)
     zuy = (zf, v, tail)
     rep = CosetRep(
         j=sub,

@@ -147,21 +147,23 @@ class WeylGroup:
                     elems[newp] = ne
                     order.append(ne)
         self.elements: tuple[WeylElem, ...] = tuple(order)
-        self._by_perm = elems
         self.identity = e
         self._simple = {i: elems[gens[i]] for i in (1, 2)}
+        # products and inverses, keyed by permutations: (ab)(beta) = a(b(beta))
+        self._mult = {
+            (a.perm, b.perm): elems[tuple(a.perm[k - 1] for k in b.perm)]
+            for a in order for b in order
+        }
+        self._inv = {a.perm: b for a in order for b in order if self._mult[a.perm, b.perm] is e}
 
     def simple(self, i: int) -> WeylElem:
         return self._simple[i]
 
     def mult(self, a: WeylElem, b: WeylElem) -> WeylElem:
-        return self._by_perm[tuple(a.perm[b.perm[k] - 1] for k in range(len(a.perm)))]
+        return self._mult[a.perm, b.perm]
 
     def inv(self, a: WeylElem) -> WeylElem:
-        p = [0] * len(a.perm)
-        for k, img in enumerate(a.perm):
-            p[img - 1] = k + 1
-        return self._by_perm[tuple(p)]
+        return self._inv[a.perm]
 
     def act(self, w: WeylElem, idx: int) -> int:
         return w.perm[idx - 1]

@@ -80,9 +80,11 @@ def test_jobs_do_not_change_output(tmp_path):
 
 
 class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size, starts nothing."""
+    """Stands in for multiprocessing.Pool: records its size and chunk sizes,
+    starts nothing."""
 
     sizes = []
+    chunksizes = []
 
     def __init__(self, size):
         self.sizes.append(size)
@@ -93,7 +95,8 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=None):
+        self.chunksizes.append(chunksize)
         return [fn(it) for it in items]
 
 
@@ -103,12 +106,15 @@ def test_jobs_are_clamped(monkeypatch, tmp_path, cpus, want):
     monkeypatch.setattr(cli, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["constants", "--type", "A2", "--q", "2"]
     assert run_cli(argv + ["--out", str(a)]) == 0
     assert _InlinePool.sizes == []
     assert run_cli(argv + ["--jobs", "10000", "--out", str(b)]) == 0
     assert _InlinePool.sizes == ([want] if want else [])
+    # workers take one kind pattern at a time, so the costly ones spread out
+    assert _InlinePool.chunksizes == ([1] if want else [])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -236,13 +242,18 @@ def test_sums(capsys):
         ["sums", "--q", "3", "--budget", "10"],
         # an --out that cannot be opened is a usage error, not a traceback
         ["basis", "--type", "A2", "--q", "3", "--out", os.path.join(os.devnull, "x.json")],
+        # --q names the whole field, so --p or --f beside it conflicts
+        ["basis", "--type", "A2", "--q", "4", "--p", "3"],
+        ["basis", "--type", "A2", "--q", "3", "--f", "2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     assert run_cli(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert "Traceback" not in err
-    if "--out" in argv:
+    if "--out" in argv or ("--q" in argv and {"--p", "--f"} & set(argv)):
+        assert captured.out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
 

@@ -232,3 +232,30 @@ def test_rep_to_dict_shape():
         d = rep_to_dict(r)
         assert sorted(d) == ["j", "mu", "rep", "t_0", "t_mu", "type", "uxu", "zuy"]
         assert len(d["uxu"]) == 3 and len(d["zuy"]) == 3
+
+
+@pytest.mark.parametrize("tag,q,reps", [("A2", (2, 2), 366), ("B2", (5,), 3338)])
+def test_build_rep_matches_uncached_derivations(tag, q, reps):
+    # build_rep derives n_x t_mu, n_z^{-1} and the toral product once per
+    # input and reads the z-side tail off h = n_z^{-1} g; recompute each
+    # without those shortcuts for every representative of every kind pattern
+    F = make_field(*q)
+    G = chevalley_group(tag, F)
+    W = G.W
+    b = W.basis_elements()
+    count = 0
+    for x, y, z in itertools.product(b, repeat=3):
+        zinv = G.invert(G.lift(z))
+        for sub in distinguished_subexprs(x, y, z):
+            for mu in mu_assignments(sub, F):
+                r = build_rep(sub, mu)
+                assert r.uxu[1] == G.multiply(G.lift(x), G.torus(*r.t_mu))
+                h = G.multiply(zinv, r.g)
+                assert (h.u, h.u2) == (r.head_z, r.tail_z)
+                t0e = G.multiply(G.lift(y), G.torus(*h.t), G.lift(W.inv(y)))
+                assert t0e == G.torus(*r.t_zero)
+                v = r.zuy[1]
+                assert v == G.unipotent(h.u)
+                assert r.zuy[2] == G.multiply(G.invert(v), h)
+                count += 1
+    assert count == reps, count

@@ -10,7 +10,9 @@ from gghecke.hecke import hecke_algebra
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "tag,q", [("A2", (2, 3)), ("A2", (3, 2)), ("B2", (7,))], ids=["A2-8", "A2-9", "B2-7"]
+    "tag,q",
+    [("A2", (2, 3)), ("A2", (3, 2)), ("B2", (7,)), ("B2", (3, 2))],
+    ids=["A2-8", "A2-9", "B2-7", "B2-9"],
 )
 def test_products_match_closed_forms(tag, q):
     F = make_field(*q)

@@ -65,6 +65,8 @@ def test_group_axioms():
                 ab = W.mult(a, b)
                 assert ab in W.elements
                 assert W.inv(ab) == W.mult(W.inv(b), W.inv(a))
+                # (ab)(beta) = a(b(beta)); a transposed table passes the rest
+                assert ab.perm == tuple(a.perm[k - 1] for k in b.perm)
 
 
 def test_word_round_trips():
