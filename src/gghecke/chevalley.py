@@ -10,17 +10,30 @@ inversion set of w.
 
 Generators: u_alpha(x) for every root alpha, n_i(t) =
 u_i(t) u_{-i}(-1/t) u_i(t) for simple i, and the fundamental-coweight
-cocharacters t_1(l), t_2(l) with chi(alpha_j) = l^{delta_ij}.  The group is
-presented by the commutator relations
+cocharacters t_1(l), t_2(l) with chi(alpha_j) = l^{delta_ij}.  The
+Chevalley commutator formula (Carter, Simple Groups of Lie Type, ch. 5)
+gives, for the positive root elements,
 
     u1(x) u2(z) u1(-x) = u2(z) u3(xz)              (A2)
     u1(x) u2(z) u1(-x) = u2(z) u3(xz) u4(x^2 z)    (B2)
     u1(x) u3(z) u1(-x) = u3(z) u4(2xz)             (B2)
 
-(all other positive pairs commute), the torus scaling of root coordinates by
-chi(alpha1)^c1 chi(alpha2)^c2 for beta = c1 alpha1 + c2 alpha2, and the
-n_i-conjugation n_i u_beta(c) n_i^{-1} = u_{s_i beta}(eta_i(beta) c).  The
-signs eta are not free: they are derived once per type by seeding the
+(all other positive pairs commute), so U has a closed-form coordinate law.
+Coordinates (a1, ..., aN) stand for u1(a1) ... uN(aN); a right factor
+u_k(c) adds c to a_k, and for k = 1 first moves past u2 and u3:
+
+    A2:  (a1 + c, a2, a3 - a2 c)
+    B2:  (a1 + c, a2, a3 - a2 c, a4 + a2 c^2 - 2 a3 c)
+
+Each w splits U as U_out U_in, over the positive roots that w keeps
+positive and those it inverts.  Going from the fixed order to that order
+only u1 ever moves right: past u2, and in B2 also past u3 when w keeps
+alpha1 + alpha2.  So a table over w gives u = u_out u_in in closed form
+(`_split`).  Absorbing n_i splits off the alpha_i factor by the law itself:
+u' = v u_i(c_i) with v = u' u_i(-c_i).  The torus scales root coordinates
+by chi(alpha1)^c1 chi(alpha2)^c2 for beta = c1 alpha1 + c2 alpha2, and n_i
+conjugates n_i u_beta(c) n_i^{-1} = u_{s_i beta}(eta_i(beta) c).
+The signs eta are not free: they are derived once per type by seeding the
 Chevalley structure constants N from the relations above, closing under
 antisymmetry / negation / the zero-sum-triple proportionality, and evaluating
 Ad(n_i) = exp(ad e) exp(-ad f) exp(ad e) as an exact rational matrix on the
@@ -35,20 +48,6 @@ from itertools import product
 
 from .gf import Field
 from .rootsys import RootSystem, WeylElem, WeylGroup, root_system, weyl_group
-
-# u_i(a) u_j(b) = u_j(b) u_i(a) * prod u_k(c * a^m * b^n), entries (k, c, m, n)
-_SWAPS = {
-    "A2": {
-        (1, 2): ((3, 1, 1, 1),),
-        (2, 1): ((3, -1, 1, 1),),
-    },
-    "B2": {
-        (1, 2): ((3, 1, 1, 1), (4, -1, 2, 1)),
-        (2, 1): ((3, -1, 1, 1), (4, 1, 1, 2)),
-        (1, 3): ((4, 2, 1, 1),),
-        (3, 1): ((4, -2, 1, 1),),
-    },
-}
 
 _N_SEEDS = {
     "A2": {((1, 0), (0, 1)): 1},
@@ -188,7 +187,6 @@ class GroupElem:
     __slots__ = ("group", "u", "t", "w", "u2")
 
     def __init__(self, group: "Group", u, t, w: WeylElem, u2):
-        n = group.rs.n_pos
         inv = group.inv_set(w)
         if any(c and (i + 1) not in inv for i, c in enumerate(u2)):
             raise ValueError("u' has support outside the inversion set")
@@ -242,10 +240,7 @@ class Group:
         # chi_at reads root coefficients and powers x^e (e in -2..2) of every unit
         self._coef = {i: self.rs.root(i) for i in range(1, 2 * self.N + 1)}
         self._pow = {e: (0,) + tuple(F.pow(x, e) for x in F.units()) for e in range(-2, 3)}
-        self._swaps = {
-            key: tuple((k, F.of(c), m, n) for (k, c, m, n) in rules)
-            for key, rules in _SWAPS[tag].items()
-        }
+        self._two = F.of(2)
         self._eta = {key: F.of(v) for key, v in _eta_table(tag).items()}
         self._refl = {
             i: {idx: self.rs.reflect(i, idx) for idx in range(1, 2 * self.N + 1)}
@@ -254,6 +249,12 @@ class Group:
         self._inv_sets = {
             w: frozenset(self.W.inversions(w)) for w in self.W.elements
         }
+        # per w: inversion-set mask, and whether u1 moves right past u2 only
+        # (2), past u2 and u3 (3), or stays first (0) in u = u_out * u_in
+        self._splits = {}
+        for w, inv in self._inv_sets.items():
+            move = 0 if 1 not in inv or 2 in inv else (2 if 3 in inv else 3)
+            self._splits[w] = (tuple(k in inv for k in range(1, self.N + 1)), move)
         # for each non-simple positive root, a simple reflection lowering it
         self._desc = {}
         for g in range(3, self.N + 1):
@@ -276,53 +277,38 @@ class Group:
     def inv_set(self, w: WeylElem) -> frozenset:
         return self._inv_sets[w]
 
-    # -- collection --------------------------------------------------------------
+    # -- the coordinate law on U ----------------------------------------------------
 
-    def _collect(self, items, rank):
-        """Sort a u-atom list by rank, applying the commutator corrections."""
+    def _times(self, u, k, c):
+        """u * u_k(c), in place on the coordinate list u."""
         F = self.F
-        swaps = self._swaps
-        items = [it for it in items if it[1] != 0]
-        i = 0
-        guard = 0
-        while i < len(items) - 1:
-            ia, ca = items[i]
-            ib, cb = items[i + 1]
-            if ia == ib:
-                s = F.add(ca, cb)
-                if s:
-                    items[i] = (ia, s)
-                    del items[i + 1]
-                else:
-                    del items[i : i + 2]
-                i = max(i - 1, 0)
-                continue
-            if rank(ia) > rank(ib):
-                repl = [(ib, cb), (ia, ca)]
-                for k, c, m, nn in swaps.get((ia, ib), ()):
-                    val = F.mul(c, F.mul(F.pow(ca, m), F.pow(cb, nn)))
-                    if val:
-                        repl.append((k, val))
-                items[i : i + 2] = repl
-                i = max(i - 1, 0)
-                guard += 1
-                if guard > 100000:
-                    raise AssertionError("collection failed to terminate")
-                continue
-            i += 1
-        return items
+        if k == 1:
+            a2, a3 = u[1], u[2]
+            if self.N == 4 and (a2 or a3):
+                # a4 + a2 c^2 - 2 a3 c
+                u[3] = F.add(u[3], F.mul(F.sub(F.mul(a2, c), F.mul(self._two, a3)), c))
+            if a2:
+                u[2] = F.sub(a3, F.mul(a2, c))
+        u[k - 1] = F.add(u[k - 1], c)
 
-    @staticmethod
-    def _items(coords):
-        return [(i + 1, c) for i, c in enumerate(coords) if c]
-
-    def _coords(self, items):
-        out = [0] * self.N
-        for idx, c in items:
-            if not 1 <= idx <= self.N or out[idx - 1]:
-                raise AssertionError("bad collected support")
-            out[idx - 1] = c
-        return out
+    def _split(self, w, u):
+        """(u_out, u_in) with u = u_out * u_in, u_in on the inversion set of w."""
+        mask, move = self._splits[w]
+        a1 = u[0]
+        if move and a1:
+            F = self.F
+            a2, a3 = u[1], u[2]
+            u = list(u)
+            u[2] = F.add(a3, F.mul(a1, a2))
+            if self.N == 4:
+                if move == 2:  # u1 u2 = u2 u1 u3(a1 a2) u4(-a1^2 a2)
+                    u[3] = F.sub(u[3], F.mul(F.mul(a1, a1), a2))
+                else:  # ... then u1 u3(x) = u3(x) u1 u4(2 a1 x)
+                    u[3] = F.add(u[3], F.mul(a1, F.add(F.mul(self._two, a3), F.mul(a1, a2))))
+        return (
+            [0 if m else x for x, m in zip(u, mask)],
+            [x if m else 0 for x, m in zip(u, mask)],
+        )
 
     def _conj_n_fwd(self, i, items):
         """n_i * x * n_i^{-1} per atom."""
@@ -355,28 +341,21 @@ class Group:
         if c == 0:
             return
         u, t, w, u2 = st
-        items = self._items(u2)
-        items.append((idx, c))
-        inv = self._inv_sets[w]
-        if len(inv) == self.N:  # longest element: everything stays in u'
-            st[3] = self._coords(self._collect(items, lambda k: k))
-            return
-        split = self._collect(
-            items, lambda k, inv=inv: (1, k) if k in inv else (0, k)
-        )
-        cut = 0
-        while cut < len(split) and split[cut][0] not in inv:
-            cut += 1
-        a, b = split[:cut], split[cut:]
+        u2 = list(u2)
+        self._times(u2, idx, c)
+        out, inn = self._split(w, u2)
+        a = [(k + 1, x) for k, x in enumerate(out) if x]
         if a:
             for letter in reversed(w.word):
                 a = self._conj_n_fwd(letter, a)
             F = self.F
-            a = [(k, F.mul(self.chi_at(t, k), v)) for k, v in a]
-            if any(k > self.N for k, _ in a):
-                raise AssertionError("conjugated complement left U")
-            st[0] = self._coords(self._collect(self._items(u) + a, lambda k: k))
-        st[3] = self._coords(b)
+            u = list(u)
+            for k, v in a:
+                if k > self.N:
+                    raise AssertionError("conjugated complement left U")
+                self._times(u, k, F.mul(self.chi_at(t, k), v))
+            st[0] = u
+        st[3] = inn
 
     def _absorb_u_neg(self, st, idx, c):
         if c == 0:
@@ -415,22 +394,20 @@ class Group:
             cart = self.rs.cartan[i - 1]
             self._absorb_torus(st, F.pow(c, cart[0]), F.pow(c, cart[1]))
         u, t, w, u2 = st
-        items = self._collect(
-            self._items(u2), lambda k, i=i: (1, k) if k == i else (0, k)
-        )
-        if items and items[-1][0] == i:
-            ci = items[-1][1]
-            v = items[:-1]
-        else:
-            ci = 0
-            v = items
+        # u2 = v * u_i(ci) with v = u2 * u_i(-ci)
+        v = list(u2)
+        ci = v[i - 1]
+        if ci:
+            self._times(v, i, F.neg(ci))
         wnew = self.W.mult(w, self.W.simple(i))
         decreasing = self.W.act(w, i) > self.N
         if ci and not decreasing:
             raise AssertionError("alpha_i coordinate in u' outside inversion set")
         if ci == 0:
             st[2] = wnew
-            st[3] = self._coords(self._collect(self._conj_n_back(i, v), lambda k: k))
+            st[3] = [0] * self.N
+            for k, x in self._conj_n_back(i, [(k + 1, x) for k, x in enumerate(v) if x]):
+                self._times(st[3], k, x)
             if decreasing:
                 # n_w = n_{wnew} n_i, and the leftover n_i^2 = h_i(-1) moves into t
                 neg1 = F.neg(F.of(1))
@@ -444,7 +421,7 @@ class Group:
                 ]
             return
         # u_i(ci) n_i = n_i u_{-i}(-ci), then expand the negative root element
-        st[3] = self._coords(v)
+        st[3] = v
         self._absorb_n(st, i, 1)
         y = F.neg(F.inv(ci))
         self._absorb_u_pos(st, i, y)
@@ -512,14 +489,6 @@ class Group:
         """Simple-root coordinates; a homomorphism U -> (F_q, +)^2."""
         coords = u.u if isinstance(u, GroupElem) else u
         return (coords[0], coords[1])
-
-    def torus_conjugate(self, t, u_coords):
-        """Coordinates of t * u * t^{-1}."""
-        F = self.F
-        return tuple(
-            F.mul(self.chi_at(t, i + 1), c) if c else 0
-            for i, c in enumerate(u_coords)
-        )
 
     def iter_elements(self):
         """Every normal form, exactly once."""

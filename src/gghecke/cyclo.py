@@ -64,7 +64,7 @@ class CycloNum:
 
     @staticmethod
     def from_zeta_counts(p: int, counts) -> "CycloNum":
-        """sum(counts[k] * zeta^k), counts indexed by exponent mod p."""
+        """sum(counts[k] * zeta^k), int counts indexed by exponent mod p."""
         cs = [0] * (p - 1)
         for k, n in enumerate(counts):
             if n:
@@ -74,7 +74,10 @@ class CycloNum:
                 else:
                     for i in range(p - 1):
                         cs[i] -= n
-        return CycloNum(p, cs)
+        # int sums of int counts: skip __init__'s _exact pass
+        z = object.__new__(CycloNum)
+        z.p, z.coeffs = p, tuple(cs)
+        return z
 
     # -- ring ops -------------------------------------------------------------
 

@@ -198,12 +198,6 @@ class Field:
     def coeffs(self, a: int) -> tuple[int, ...]:
         return _decode_poly(a, self.p, self.f)
 
-    def from_coeffs(self, cs: Iterable[int]) -> int:
-        cs = tuple(cs)
-        if len(cs) != self.f:
-            raise ValueError(f"expected {self.f} coefficients")
-        return sum((c % self.p) * self.p**i for i, c in enumerate(cs))
-
     def elements(self) -> range:
         return range(self.q)
 

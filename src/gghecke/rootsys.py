@@ -174,9 +174,6 @@ class WeylGroup:
             out = self.mult(out, self._simple[i])
         return out
 
-    def from_digits(self, s: str) -> WeylElem:
-        return self.from_word(int(ch) for ch in s)
-
     def longest(self) -> WeylElem:
         return max(self.elements, key=lambda w: w.length())
 

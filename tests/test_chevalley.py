@@ -4,6 +4,7 @@ The adjoint check rebuilds the Lie algebra over Q from the seeded structure
 constants, verifies the Jacobi identity symbolically, reduces mod p, and
 compares matrix products against the engine's normal forms on random words.
 """
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -84,7 +85,11 @@ def test_torus_conjugation():
                         want = [0] * G.N
                         want[idx - 1] = F.mul(scale, c)
                         assert conj == G.unipotent(want)
-                        assert tuple(conj.u) == G.torus_conjugate(T.t, coords)
+                        # t u t^{-1} scales each coordinate by chi_t at its root
+                        assert conj.u == tuple(
+                            F.mul(G.chi_at(T.t, i + 1), c) if c else 0
+                            for i, c in enumerate(coords)
+                        )
 
 
 def test_delta_coords_homomorphism():
@@ -286,7 +291,9 @@ def _adjoint_word_mat(tag, F):
 
 @pytest.mark.parametrize(
     "tag,fq,count",
-    [("A2", (3,), 150), ("A2", (2, 2), 80), ("B2", (3,), 150), ("B2", (5,), 60)],
+    [("A2", (3,), 150), ("A2", (2, 2), 80), ("B2", (3,), 150), ("B2", (5,), 60),
+     # extension fields, where the 2 a3 c and sign terms of the law collapse
+     ("A2", (2, 3), 80), ("B2", (3, 2), 60)],
 )
 def test_normal_form_matches_adjoint(tag, fq, count):
     F = make_field(*fq)
@@ -303,3 +310,54 @@ def test_adjoint_is_faithful_a2_q2():
     word_mat = _adjoint_word_mat("A2", F)
     images = {word_mat(G.expansion(g)) for g in G.iter_elements()}
     assert len(images) == G.order()
+
+
+# -- the coordinate law on U, against the adjoint matrices ------------------------
+
+
+def _u_atoms(coords):
+    return [("u", k + 1, c) for k, c in enumerate(coords) if c]
+
+
+@pytest.mark.parametrize(
+    "tag,fq",
+    [("A2", (2, 2)), ("A2", (2, 3)), ("A2", (3, 2)),
+     ("B2", (3,)), ("B2", (5,)), ("B2", (7,)), ("B2", (3, 2))],
+)
+def test_coordinate_law_matches_adjoint(tag, fq):
+    # a random word of positive root elements, multiplied out one factor at a
+    # time by the closed-form law, is the same matrix as the word itself
+    F = make_field(*fq)
+    G = chevalley_group(tag, F)
+    word_mat = _adjoint_word_mat(tag, F)
+    rng = random.Random(17)
+    for _ in range(40):
+        word = [("u", rng.randrange(1, G.N + 1), rng.randrange(F.q))
+                for _ in range(rng.randrange(1, 9))]
+        coords = [0] * G.N
+        for _, k, c in word:
+            G._times(coords, k, c)
+        assert word_mat(_u_atoms(coords)) == word_mat(word)
+
+
+@pytest.mark.parametrize("tag,fq", [("A2", (2, 2)), ("B2", (3,))])
+def test_splits_match_adjoint(tag, fq):
+    # every u of U, split for every w: u = u_out * u_in with u_in on the
+    # inversion set of w and u_out off it; and u = v * u_i(a_i) for the
+    # v = u * u_i(-a_i) that n_i absorption uses
+    F = make_field(*fq)
+    G = chevalley_group(tag, F)
+    word_mat = _adjoint_word_mat(tag, F)
+    for u in itertools.product(F.elements(), repeat=G.N):
+        m = word_mat(_u_atoms(u))
+        for w in G.W.elements:
+            inv = G.inv_set(w)
+            out, inn = G._split(w, u)
+            assert all(not c or k + 1 in inv for k, c in enumerate(inn))
+            assert all(not c or k + 1 not in inv for k, c in enumerate(out))
+            assert word_mat(_u_atoms(out) + _u_atoms(inn)) == m
+        for i in (1, 2):
+            v = list(u)
+            G._times(v, i, F.neg(u[i - 1]))
+            assert v[i - 1] == 0
+            assert word_mat(_u_atoms(v) + [("u", i, u[i - 1])]) == m

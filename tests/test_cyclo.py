@@ -88,6 +88,21 @@ def test_integral_coefficients_are_ints():
     assert type(third.scale(3).coeffs[0]) is int
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=100)
+def test_from_zeta_counts_matches_checked_path(p, data):
+    # from_zeta_counts skips _exact; its coefficients must still be the ints
+    # that the checked constructor gives for the same sum of zeta powers
+    counts = data.draw(st.lists(st.integers(-30, 30), min_size=p, max_size=p))
+    got = CycloNum.from_zeta_counts(p, counts)
+    checked = CycloNum.zero(p)
+    for k, n in enumerate(counts):
+        checked = checked + CycloNum(p, CycloNum.zeta_pow(p, k).coeffs).scale(n)
+    assert got == checked
+    assert all(type(c) is int for c in got.coeffs)
+    assert len(got.coeffs) == p - 1
+
+
 def test_gauss_sum_is_cached_and_exact():
     for q, (p, f) in {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
                       7: (7, 1), 8: (2, 3), 9: (3, 2)}.items():

@@ -82,7 +82,10 @@ def test_trace_of_f4_generator():
 def test_coeff_round_trip():
     for F in FIELDS:
         for a in F.elements():
-            assert F.from_coeffs(F.coeffs(a)) == a
+            cs = F.coeffs(a)
+            assert len(cs) == F.f
+            # the code is sum(c_i * p^i), little-endian
+            assert sum((c % F.p) * F.p**i for i, c in enumerate(cs)) == a
 
 
 def test_rth_roots():

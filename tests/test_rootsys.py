@@ -74,7 +74,7 @@ def test_word_round_trips():
         W = weyl_group(tag)
         for w in W.elements:
             assert W.from_word(w.word) == w
-            assert W.from_digits(w.digits()) == w
+            assert W.from_word(int(ch) for ch in w.digits()) == w
         s1, s2 = W.simple(1), W.simple(2)
         assert W.from_word((1, 1)) == W.identity
         assert W.from_word((1, 2)) == W.mult(s1, s2)
