@@ -237,10 +237,16 @@ class Group:
         self.W: WeylGroup = weyl_group(tag)
         self.N = self.rs.n_pos
         F = field
-        # chi_at reads root coefficients and powers x^e (e in -2..2) of every unit
+        # chi_at reads root coefficients and powers x^e (e in -2..2) of every unit;
+        # _absorb_n reads the powers by Cartan entries, which lie in -2..2
         self._coef = {i: self.rs.root(i) for i in range(1, 2 * self.N + 1)}
         self._pow = {e: (0,) + tuple(F.pow(x, e) for x in F.units()) for e in range(-2, 3)}
         self._two = F.of(2)
+        # h_i(-1) = n_i^2: -1 raised to row i of the Cartan matrix
+        neg1 = F.neg(F.of(1))
+        self._h_neg1 = {
+            i: tuple(F.pow(neg1, c) for c in self.rs.cartan[i - 1]) for i in (1, 2)
+        }
         self._eta = {key: F.of(v) for key, v in _eta_table(tag).items()}
         self._refl = {
             i: {idx: self.rs.reflect(i, idx) for idx in range(1, 2 * self.N + 1)}
@@ -392,7 +398,7 @@ class Group:
             raise ValueError("n_i(0) is undefined")
         if c != 1:
             cart = self.rs.cartan[i - 1]
-            self._absorb_torus(st, F.pow(c, cart[0]), F.pow(c, cart[1]))
+            self._absorb_torus(st, self._pow[cart[0]][c], self._pow[cart[1]][c])
         u, t, w, u2 = st
         # u2 = v * u_i(ci) with v = u2 * u_i(-ci)
         v = list(u2)
@@ -410,9 +416,7 @@ class Group:
                 self._times(st[3], k, x)
             if decreasing:
                 # n_w = n_{wnew} n_i, and the leftover n_i^2 = h_i(-1) moves into t
-                neg1 = F.neg(F.of(1))
-                cart = self.rs.cartan[i - 1]
-                h = (F.pow(neg1, cart[0]), F.pow(neg1, cart[1]))
+                h = self._h_neg1[i]
                 winv = self.W.inv(wnew)
                 tt = st[1]
                 st[1] = [

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: basis, intersect, constants, verify-tables, verify-oracle,
-sums.  Output is deterministic: records are sorted canonically, JSON is
+sums.  Output is deterministic: records come in canonical order, JSON is
 emitted with sorted keys, CSV with a fixed header.  Exit status 0 means
 success or verification pass, 1 a verification mismatch (the mismatch
 report still goes to --out), 2 a usage error.
@@ -13,9 +13,11 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
+from itertools import product
 from multiprocessing import Pool
 
-from .cyclo import CycloNum, gauss_sum, kloosterman
+from .cyclo import gauss_sum, kloosterman
 from .gf import Field, field_from_dict, make_field
 from .hecke import BasisElem, HeckeAlgebra, hecke_algebra
 from .intersect import intersect, left_coset_key, rep_to_dict
@@ -149,61 +151,79 @@ def _cmd_intersect(args) -> int:
     return 0
 
 
-def _triples(H: HeckeAlgebra, args) -> list:
-    basis = sorted(H.basis, key=_sorted_basis_key)
-    chosen = [
-        _parse_point(t) if t else None for t in (args.i, args.j, args.k)
-    ]
+def _chosen(H: HeckeAlgebra, args) -> list:
+    """The i, j and k points of a sweep, each list in the string order of the
+    records: the one point a flag names, or the whole basis."""
+    basis = sorted(H.basis, key=_point_str)
     out = []
-    for i in [chosen[0]] if chosen[0] else basis:
-        for j in [chosen[1]] if chosen[1] else basis:
-            for k in [chosen[2]] if chosen[2] else basis:
-                out.append((i, j, k))
+    for text in (args.i, args.j, args.k):
+        if text:
+            b = _parse_point(text)
+            H.point(b)  # parameters outside F_q^x are a usage error, not a 0
+            out.append([b])
+        else:
+            out.append(basis)
     return out
 
 
-def _constants_chunk(payload) -> list:
-    tag, fdict, triples = payload
+def _row(H: HeckeAlgebra, i: BasisElem, j: BasisElem, K: list) -> list:
+    """S_ij^k for each k in K: one product, or one structure constant when
+    --k names the single k (K is otherwise the whole basis, q^2 >= 4 points)."""
+    if len(K) == 1:
+        return [H.structure_constant(i, j, K[0])]
+    vec = H.multiply(i, j)
+    return [vec.get(k, H.F.p) for k in K]
+
+
+def _rep_buckets(payload) -> tuple:
+    tag, fdict, kinds = payload
+    return hecke_algebra(tag, field_from_dict(fdict)).rep_buckets(kinds)
+
+
+def _formula_row(payload) -> list:
+    """Closed forms of row i: one list over K for each j."""
+    tag, fdict, i, J, K = payload
     H = hecke_algebra(tag, field_from_dict(fdict))
-    out = []
-    for i, j, k in triples:
-        s = H.structure_constant(i, j, k)
-        out.append(
-            {
-                "i": _point_str(i),
-                "j": _point_str(j),
-                "k": _point_str(k),
-                "value": s.to_dict(),
-                "render": s.render(),
-            }
-        )
-    return out
+    return [[H.table_formula(i, j, k) for k in K] for j in J]
 
 
-def _fan_out(tag: str, F: Field, triples: list, jobs: int, worker) -> list:
+@contextmanager
+def _pool(H: HeckeAlgebra, jobs: int, chosen: list):
+    """A worker pool, or None when one process is enough, that has built the
+    rep table of every kind pattern the sweep reads and installed it in H."""
     if jobs < 1:
         _usage(f"--jobs must be at least 1, got {jobs}")
-    # partition by kind pattern so each worker builds few rep tables
-    buckets = {}
-    for t in triples:
-        buckets.setdefault(tuple(b.kind for b in t), []).append(t)
-    # never more workers than CPUs or chunks, whatever --jobs asks for
-    size = min(jobs, os.cpu_count() or 1, len(buckets))
+    patterns = list(product(*(sorted({b.kind for b in c}) for c in chosen)))
+    # never more workers than CPUs or patterns, whatever --jobs asks for
+    size = min(jobs, os.cpu_count() or 1, len(patterns))
     if size <= 1:
-        records = worker((tag, F.to_dict(), triples))
-    else:
-        payloads = [(tag, F.to_dict(), chunk) for chunk in buckets.values()]
+        yield None
+        return
+    payloads = [(H.tag, H.F.to_dict(), kinds) for kinds in patterns]
+    with Pool(size) as pool:
         # one pattern per hand-out: the costliest (0,0,.) patterns come first
-        with Pool(size) as pool:
-            records = [r for part in pool.map(worker, payloads, chunksize=1) for r in part]
-    records.sort(key=lambda r: (r["i"], r["j"], r["k"]))
-    return records
+        for kinds, buckets in zip(patterns, pool.map(_rep_buckets, payloads, chunksize=1)):
+            H._reps(kinds, buckets)
+        yield pool
 
 
 def _cmd_constants(args) -> int:
     H = _algebra_of(args)
-    triples = _triples(H, args)
-    records = _fan_out(args.type, H.F, triples, args.jobs, _constants_chunk)
+    I, J, K = chosen = _chosen(H, args)
+    name = {b: _point_str(b) for b in I + J + K}  # one string per point, not per record
+    with _pool(H, args.jobs, chosen):
+        records = [
+            {
+                "i": name[i],
+                "j": name[j],
+                "k": name[k],
+                "value": s.to_dict(),
+                "render": s.render(),
+            }
+            for i in I
+            for j in J
+            for k, s in zip(K, _row(H, i, j, K))
+        ]
     _write(
         args,
         emit(records, args.format, ["i", "j", "k", "render", "value"]),
@@ -211,93 +231,63 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _coset_tags(H: HeckeAlgebra, i, j, k) -> list:
-    x, tx = H.point(i)
-    y, ty = H.point(j)
-    z, tz = H.point(k)
-    return sorted(
-        (list(r.j.jvec), list(r.mu.values))
-        for r in intersect(x, tx, y, ty, z, tz, group=H.G)
-    )
+def _mismatch(reps: list, i, j, k, found: dict) -> dict:
+    """The triple, what each route found, and the (j, mu) tags of its cosets."""
+    cosets = sorted((list(r.j.jvec), list(r.mu.values)) for r in reps)
+    ijk = {"i": _point_str(i), "j": _point_str(j), "k": _point_str(k)}
+    return {**ijk, **found, "cosets": cosets}
 
 
-def _verify_tables_chunk(payload) -> list:
-    tag, fdict, triples = payload
-    H = hecke_algebra(tag, field_from_dict(fdict))
-    out = []
-    for i, j, k in triples:
-        a = H.structure_constant(i, j, k)
-        t = H.table_formula(i, j, k)
-        if a != t:
-            out.append(
-                {
-                    "i": _point_str(i),
-                    "j": _point_str(j),
-                    "k": _point_str(k),
-                    "algorithm": a.render(),
-                    "table": t.render(),
-                    "cosets": _coset_tags(H, i, j, k),
-                }
-            )
-    return out
-
-
-def _cmd_verify_tables(args) -> int:
-    H = _algebra_of(args)
-    triples = _triples(H, args)
-    mismatches = _fan_out(
-        args.type, H.F, triples, args.jobs, _verify_tables_chunk
-    )
+def _report(args, H: HeckeAlgebra, checked: int, mismatches: list) -> int:
     payload = {
-        "checked": len(triples),
+        "checked": checked,
         "mismatches": mismatches,
         "type": args.type,
         "q": H.F.q,
     }
     _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 1 if mismatches else 0
+
+
+def _cmd_verify_tables(args) -> int:
+    H = _algebra_of(args)
+    I, J, K = chosen = _chosen(H, args)
+    mismatches = []
+    with _pool(H, args.jobs, chosen) as pool:
+        payloads = [(H.tag, H.F.to_dict(), i, J, K) for i in I]
+        # the closed forms of each row i stream back while the parent walks
+        tables = pool.imap(_formula_row, payloads) if pool else map(_formula_row, payloads)
+        for i, table in zip(I, tables):
+            for j, trow in zip(J, table):
+                for k, a, t in zip(K, _row(H, i, j, K), trow):
+                    if a != t:
+                        reps = intersect(*H.point(i), *H.point(j), *H.point(k), group=H.G)
+                        found = {"algorithm": a.render(), "table": t.render()}
+                        mismatches.append(_mismatch(reps, i, j, k, found))
+    return _report(args, H, len(I) * len(J) * len(K), mismatches)
 
 
 def _cmd_verify_oracle(args) -> int:
     H = _algebra_of(args)
     G = H.G
-    triples = _triples(H, args)
+    I, J, K = _chosen(H, args)
     mismatches = []
-    for i, j, k in triples:
-        a = H.structure_constant(i, j, k)
-        b = brute_constant(H, i, j, k, mode=1, budget=args.budget)
-        x, tx = H.point(i)
-        y, ty = H.point(j)
-        z, tz = H.point(k)
-        px = (G.lift(x), G.torus(*tx))
-        py = (G.lift(y), G.torus(*ty))
-        pz = (G.lift(z), G.torus(*tz))
-        brute_keys = set(brute_intersect(px, py, pz, G, budget=args.budget))
-        algo_keys = {
-            left_coset_key(r.g)
-            for r in intersect(x, tx, y, ty, z, tz, group=G)
-        }
-        if a != b or brute_keys != algo_keys:
-            mismatches.append(
-                {
-                    "i": _point_str(i),
-                    "j": _point_str(j),
-                    "k": _point_str(k),
+    for i, j in product(I, J):
+        for k, a in zip(K, _row(H, i, j, K)):
+            b = brute_constant(H, i, j, k, mode=1, budget=args.budget)
+            points = [H.point(t) for t in (i, j, k)]
+            lifts = [(G.lift(w), G.torus(*t)) for w, t in points]
+            brute_keys = set(brute_intersect(*lifts, G, budget=args.budget))
+            reps = intersect(*points[0], *points[1], *points[2], group=G)
+            algo_keys = {left_coset_key(r.g) for r in reps}
+            if a != b or brute_keys != algo_keys:
+                found = {
                     "algorithm": a.render(),
                     "oracle": b.render(),
                     "coset_sets_equal": brute_keys == algo_keys,
-                    "cosets": _coset_tags(H, i, j, k),
                 }
-            )
-    mismatches.sort(key=lambda r: (r["i"], r["j"], r["k"]))
-    payload = {
-        "checked": len(triples),
-        "mismatches": mismatches,
-        "type": args.type,
-        "q": H.F.q,
-    }
-    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 1 if mismatches else 0
+                mismatches.append(_mismatch(reps, i, j, k, found))
+    return _report(args, H, len(I) * len(J) * len(K), mismatches)
 
 
 def _cmd_sums(args) -> int:

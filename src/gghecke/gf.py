@@ -39,20 +39,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # Dense polynomials over F_p, little-endian coefficient tuples, no leading
 # zeros (the zero polynomial is the empty tuple).
 
@@ -117,7 +103,7 @@ class Field:
     __slots__ = (
         "p", "f", "q", "modulus",
         "_add", "_mul", "_neg", "_inv", "_trace", "_squares",
-        "_gen", "_roots_cache",
+        "_roots_cache",
     )
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
@@ -155,7 +141,6 @@ class Field:
             tr.append(s)
         self._trace = tr
         self._squares = frozenset(self._mul[a][a] for a in range(q))
-        self._gen = None
         self._roots_cache = {}
 
     # -- basic ops ---------------------------------------------------------
@@ -226,17 +211,6 @@ class Field:
                 table.setdefault(self.pow(y, r), []).append(y)
             cache[r] = {x: frozenset(ys) for x, ys in table.items()}
         return cache[r].get(a, frozenset())
-
-    def multiplicative_generator(self) -> int:
-        """Least generator of F_q^* in code order."""
-        if self._gen is None:
-            n = self.q - 1
-            primes = _prime_factors(n) if n > 1 else []
-            for g in range(1, self.q):
-                if all(self.pow(g, n // pr) != 1 for pr in primes):
-                    self._gen = g
-                    break
-        return self._gen
 
     # -- plumbing ------------------------------------------------------------
 

@@ -212,11 +212,11 @@ class HeckeAlgebra:
             self._chi[t] = (0,) + tuple(G.chi_at(t, i) for i in range(1, 2 * G.N + 1))
         return self._chi[t]
 
-    def _reps(self, kinds: tuple) -> dict:
-        tbl = self._reptables.get(kinds)
-        if tbl is not None:
-            return tbl
-        F, W = self.F, self.W
+    def rep_buckets(self, kinds: tuple) -> tuple:
+        """Rep table of a kind pattern as plain tuples, one ((t_zero, t_mu),
+        entries) pair per bucket; _reps installs it.  Nothing here depends on
+        another table, so a pool worker can build it and send it back."""
+        F = self.F
         x, y, z = (self._bw[k] for k in kinds)
         buckets = {}
         for sub in distinguished_subexprs(x, y, z):
@@ -232,6 +232,16 @@ class HeckeAlgebra:
                     F.sub(r.tail_x[1], r.tail_z[1]),
                 )
                 buckets.setdefault((r.t_zero, r.t_mu), []).append(entry)
+        return tuple(buckets.items())
+
+    def _reps(self, kinds: tuple, buckets: tuple | None = None) -> dict:
+        tbl = self._reptables.get(kinds)
+        if tbl is not None:
+            return tbl
+        if buckets is None:
+            buckets = self.rep_buckets(kinds)
+        F, W = self.F, self.W
+        x, y, z = (self._bw[k] for k in kinds)
         # route: character pair (cz1, cz2) of k -> (k, trace rows of wz1, wz2)
         zinv = W.inv(z)
         zinv_x = W.mult(zinv, x)
@@ -246,7 +256,7 @@ class HeckeAlgebra:
                 route.setdefault(cz, []).append(hop)
                 one[k] = {cz: [hop]}
         tbl = {
-            "buckets": tuple(buckets.items()),
+            "buckets": buckets,
             "py": (W.act(W.inv(y), 1), W.act(W.inv(y), 2)),
             "route": route,
             "one": one,

@@ -8,7 +8,7 @@ from gghecke import cli
 from gghecke.chevalley import chevalley_group
 from gghecke.cyclo import CycloNum
 from gghecke.gf import make_field
-from gghecke.hecke import HeckeAlgebra
+from gghecke.hecke import HeckeAlgebra, hecke_algebra
 from gghecke.intersect import intersect, rep_to_dict
 from gghecke.rootsys import weyl_group
 
@@ -79,6 +79,16 @@ def test_jobs_do_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_records_follow_the_string_order_of_points(capsys):
+    # from q = 11 on, string order puts "0:1,10" before "0:1,2"
+    argv = ["constants", "--type", "A2", "--q", "11", "--i", "1:10", "--j", "2:3"]
+    rc, payload = run_json(argv, capsys)
+    assert rc == 0
+    ks = [r["k"] for r in payload["records"]]
+    assert len(ks) == 121 and ks == sorted(ks)
+    assert ks.index("0:1,10") < ks.index("0:1,2")
+
+
 class _InlinePool:
     """Stands in for multiprocessing.Pool: records its size and chunk sizes,
     starts nothing."""
@@ -116,6 +126,35 @@ def test_jobs_are_clamped(monkeypatch, tmp_path, cpus, want):
     # workers take one kind pattern at a time, so the costly ones spread out
     assert _InlinePool.chunksizes == ([1] if want else [])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_selections_match_full_table(monkeypatch, capsys, tag, jobs):
+    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
+    H = hecke_algebra(tag, make_field(3))
+
+    def records(n, *flags):
+        # empty rep tables, so that a pooled run installs what its workers built
+        monkeypatch.setattr(H, "_reptables", {})
+        argv = ["constants", "--type", tag, "--q", "3", "--jobs", n, *flags]
+        rc, payload = run_json(argv, capsys)
+        assert rc == 0
+        return payload["records"]
+
+    full = records("1")
+    i, j, k = "0:1,2", "1:2", "2:1"
+    for flags, keep in [
+        (["--i", i], lambda r: r["i"] == i),
+        (["--j", j], lambda r: r["j"] == j),
+        (["--k", k], lambda r: r["k"] == k),
+        (["--i", i, "--j", j], lambda r: (r["i"], r["j"]) == (i, j)),
+    ]:
+        assert records(jobs, *flags) == [r for r in full if keep(r)], flags
+    assert _InlinePool.sizes == ([2] * 4 if jobs == "2" else [])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -224,6 +263,9 @@ def test_sums(capsys):
         ["basis", "--type", "B2", "--p", "2", "--f", "2"],
         ["basis", "--type", "A2", "--q", "6"],
         ["intersect", "--type", "A2", "--q", "3", "--x", "9:1", "--y", "3:", "--z", "3:"],
+        # a point outside F_q^x is an error, not a row lookup that reads 0
+        ["constants", "--type", "A2", "--q", "3", "--k", "1:7"],
+        ["verify-tables", "--type", "A2", "--q", "3", "--i", "0:1,9"],
         ["sums", "--q", "3", "--kloosterman", "1,2"],
         ["sums", "--q", "3", "--kloosterman", "nope"],
         # each flag is attached only to the subcommands that read it
