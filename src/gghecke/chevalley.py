@@ -255,12 +255,15 @@ class Group:
         self._inv_sets = {
             w: frozenset(self.W.inversions(w)) for w in self.W.elements
         }
-        # per w: inversion-set mask, and whether u1 moves right past u2 only
-        # (2), past u2 and u3 (3), or stays first (0) in u = u_out * u_in
+        # per w: inversion-set mask, whether u1 moves right past u2 only (2),
+        # past u2 and u3 (3), or stays first (0) in u = u_out * u_in, and
+        # whether w inverts no positive root (1) or all of them (2)
         self._splits = {}
+        self._zeros = (0,) * self.N
         for w, inv in self._inv_sets.items():
             move = 0 if 1 not in inv or 2 in inv else (2 if 3 in inv else 3)
-            self._splits[w] = (tuple(k in inv for k in range(1, self.N + 1)), move)
+            whole = 1 if not inv else (2 if len(inv) == self.N else 0)
+            self._splits[w] = (tuple(k in inv for k in range(1, self.N + 1)), move, whole)
         # for each non-simple positive root, a simple reflection lowering it
         self._desc = {}
         for g in range(3, self.N + 1):
@@ -298,8 +301,11 @@ class Group:
         u[k - 1] = F.add(u[k - 1], c)
 
     def _split(self, w, u):
-        """(u_out, u_in) with u = u_out * u_in, u_in on the inversion set of w."""
-        mask, move = self._splits[w]
+        """(u_out, u_in) with u = u_out * u_in, u_in on the inversion set of w.
+        At w = e and w = w0 one side is zero and the other is u itself."""
+        mask, move, whole = self._splits[w]
+        if whole:
+            return (u, self._zeros) if whole == 1 else (self._zeros, u)
         a1 = u[0]
         if move and a1:
             F = self.F

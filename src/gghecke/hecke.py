@@ -17,7 +17,7 @@ from functools import lru_cache
 from .chevalley import Group, GroupElem, chevalley_group
 from .cyclo import CycloNum, gauss_sum, phi, root_sum
 from .gf import Field
-from .intersect import build_rep, distinguished_subexprs, intersect, mu_assignments
+from .intersect import distinguished_subexprs, intersect, rep_entries
 
 __all__ = [
     "BasisElem",
@@ -216,22 +216,11 @@ class HeckeAlgebra:
         """Rep table of a kind pattern as plain tuples, one ((t_zero, t_mu),
         entries) pair per bucket; _reps installs it.  Nothing here depends on
         another table, so a pool worker can build it and send it back."""
-        F = self.F
         x, y, z = (self._bw[k] for k in kinds)
         buckets = {}
         for sub in distinguished_subexprs(x, y, z):
-            for mu in mu_assignments(sub, F):
-                r = build_rep(sub, mu)
-                # delta_coords is a homomorphism U -> F_q^2, so the simple-root
-                # coordinates of tail_x * tail_z^{-1} are differences
-                entry = (
-                    F.trace(F.add(r.head_z[0], r.head_z[1])),
-                    r.head_x[0],
-                    r.head_x[1],
-                    F.sub(r.tail_x[0], r.tail_z[0]),
-                    F.sub(r.tail_x[1], r.tail_z[1]),
-                )
-                buckets.setdefault((r.t_zero, r.t_mu), []).append(entry)
+            for t_zero, t_mu, entry in rep_entries(sub, self.F):
+                buckets.setdefault((t_zero, t_mu), []).append(entry)
         return tuple(buckets.items())
 
     def _reps(self, kinds: tuple, buckets: tuple | None = None) -> dict:

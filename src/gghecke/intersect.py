@@ -13,17 +13,19 @@ ascents), and the end condition requires the chosen product to equal
 z y^{-1}.  Parameter domains are F_q at A positions, F_q^x at B
 positions, and the fixed value 1 at C positions.
 
-Each (j, mu) yields a generator word D_j(mu); rewriting it into Bruhat
-normal form twice (once with the B-position factors expressed through
-positive root elements) cross-checks the relation tables and exposes the
-two factorized shapes.  From the U x U shape we read off the unipotent
-head/tail and the torus t_mu; translating by lift(z)^{-1} exposes the
-z-side head/tail and the involutive correction torus t_0.  The toral
-condition then selects, for given (t_x, t_y, t_z), which (j, mu) land in
-the intersection.
+Each (j, mu) yields a generator word D_j(mu).  From its Bruhat normal
+form, the U x U shape, we read off the unipotent head/tail and the torus
+t_mu; translating by lift(z)^{-1} exposes the z-side head/tail and the
+involutive correction torus t_0.  The toral condition then selects, for
+given (t_x, t_y, t_z), which (j, mu) land in the intersection.
+rep_entries, which fills the fast path's rep tables, rewrites D_j(mu)
+once.  build_rep, behind intersect() and the tests, rewrites it twice
+(once with the B-position factors expressed through positive root
+elements) to cross-check the relation tables, and multiplies both
+factorized shapes back.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -39,6 +41,7 @@ __all__ = [
     "classify",
     "mu_assignments",
     "build_rep",
+    "rep_entries",
     "intersect",
     "left_coset_key",
     "rep_to_dict",
@@ -167,17 +170,15 @@ def classify(sub: Subexpr) -> str:
     return _walk(sub.tag, sub.x, sub.y, sub.jvec)
 
 
+def _domains(types: str, field: Field) -> list:
+    """Parameter domains per position: F_q at A, F_q^x at B, {1} at C."""
+    dom = {"A": tuple(field.elements()), "B": tuple(field.units()), "C": (1,)}
+    return [dom[c] for c in types]
+
+
 def mu_assignments(sub: Subexpr, field: Field):
     """All parameter tuples for sub, in display-lexicographic order."""
-    domains = []
-    for c in sub.types:
-        if c == "A":
-            domains.append(tuple(field.elements()))
-        elif c == "B":
-            domains.append(tuple(field.units()))
-        else:
-            domains.append((1,))
-    for values in product(*domains):
+    for values in product(*_domains(sub.types, field)):
         yield MuAssignment(field, values)
 
 
@@ -193,7 +194,7 @@ def _validate_mu(sub: Subexpr, mu: MuAssignment):
             raise ValueError("C-position parameter is fixed to 1")
 
 
-# build_rep's products of lifts and tori, derived once per distinct input
+# products of lifts and tori, derived once per distinct input
 # (at most |W| (q-1)^2 per group)
 @lru_cache(maxsize=None)
 def _lift_torus(G: Group, w: WeylElem, t: tuple, w2: WeylElem | None = None) -> GroupElem:
@@ -206,38 +207,23 @@ def _lift_inverse(G: Group, w: WeylElem) -> GroupElem:
     return G.invert(G.lift(w))
 
 
-@lru_cache(maxsize=None)
-def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
-    """Normal-form D_j(mu) and extract both factorized shapes."""
-    _validate_mu(sub, mu)
-    G = chevalley_group(sub.tag, mu.field)
+def _derive(G: Group, sub: Subexpr, values: tuple) -> tuple:
+    """(g, t_mu, h, t_zero): D_j(mu) in normal form g, its torus t_mu, the
+    z-side normal form h = n_z^{-1} g and the correction torus t_zero, each
+    checked to lie where the parametrization puts it."""
     F, W = G.F, G.W
-    word = sub.x.word
-    d_atoms = []
-    dp_atoms = []
-    for i, jv, c, m in zip(word, sub.jvec, sub.types, mu.values):
+    atoms = []
+    for i, c, m in zip(sub.x.word, sub.types, values):
         if c == "B":
-            d_atoms.append(("u", i + G.N, m))
-            r = F.inv(m)
-            dp_atoms += [("u", i, r), ("n", i, F.neg(r)), ("u", i, r)]
-        elif c == "A":
-            d_atoms += [("u", i, m), ("n", i, 1)]
-            dp_atoms += [("u", i, m), ("n", i, 1)]
-        else:
-            d_atoms.append(("n", i, 1))
-            dp_atoms.append(("n", i, 1))
-    g = G.normal_form(d_atoms)
-    if g != G.normal_form(dp_atoms):
-        raise AssertionError("the two factor shapes disagree: relation tables broken")
+            atoms.append(("u", i + G.N, m))
+            continue
+        if c == "A":
+            atoms.append(("u", i, m))
+        atoms.append(("n", i, 1))
+    g = G.normal_form(atoms)
     if g.w != sub.x:
         raise AssertionError("representative left the U x U cell")
-    t_mu = (
-        G.chi_at(g.t, W.act(sub.x, 1)),
-        G.chi_at(g.t, W.act(sub.x, 2)),
-    )
-    uxu = (G.unipotent(g.u), _lift_torus(G, sub.x, t_mu), G.unipotent(g.u2))
-
-    zf = G.lift(sub.z)
+    t_mu = (G.chi_at(g.t, W.act(sub.x, 1)), G.chi_at(g.t, W.act(sub.x, 2)))
     h = G.multiply(_lift_inverse(G, sub.z), g)
     yinv = W.inv(sub.y)
     if h.w != yinv:
@@ -248,23 +234,49 @@ def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
     t_zero = t0e.t
     if F.mul(t_zero[0], t_zero[0]) != 1 or F.mul(t_zero[1], t_zero[1]) != 1:
         raise AssertionError("correction torus is not an involution")
+    return g, t_mu, h, t_zero
+
+
+def rep_entries(sub: Subexpr, field: Field):
+    """(t_zero, t_mu, entry) for every mu of sub, in mu_assignments order:
+    one normal form per representative, no CosetRep and no cache.  The
+    entry is (Tr(head_z[0] + head_z[1]), head_x[0], head_x[1], and
+    tail_x - tail_z on the two simple roots)."""
+    G = chevalley_group(sub.tag, field)
+    F = field
+    for values in product(*_domains(sub.types, F)):
+        g, t_mu, h, t_zero = _derive(G, sub, values)
+        # delta_coords is a homomorphism U -> F_q^2, so the simple-root
+        # coordinates of tail_x * tail_z^{-1} are differences
+        dv = F.trace(F.add(h.u[0], h.u[1]))
+        yield t_zero, t_mu, (dv, g.u[0], g.u[1], F.sub(g.u2[0], h.u2[0]), F.sub(g.u2[1], h.u2[1]))
+
+
+@lru_cache(maxsize=None)
+def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
+    """Normal-form D_j(mu) twice and extract both factorized shapes."""
+    _validate_mu(sub, mu)
+    G = chevalley_group(sub.tag, mu.field)
+    F = G.F
+    g, t_mu, h, t_zero = _derive(G, sub, mu.values)
+    # D_j(mu) again, each u_{-i}(m) written as u_i(1/m) n_i(-1/m) u_i(1/m)
+    dp_atoms = []
+    for i, c, m in zip(sub.x.word, sub.types, mu.values):
+        if c == "B":
+            r = F.inv(m)
+            dp_atoms += [("u", i, r), ("n", i, F.neg(r)), ("u", i, r)]
+        elif c == "A":
+            dp_atoms += [("u", i, m), ("n", i, 1)]
+        else:
+            dp_atoms.append(("n", i, 1))
+    if g != G.normal_form(dp_atoms):
+        raise AssertionError("the two factor shapes disagree: relation tables broken")
+    uxu = (G.unipotent(g.u), _lift_torus(G, sub.x, t_mu), G.unipotent(g.u2))
     # h = u t n_w u2 = v * tail with v = u; the zuy multiply-back checks it
     v = G.unipotent(h.u)
     tail = GroupElem(G, (0,) * G.N, h.t, h.w, h.u2)
-    zuy = (zf, v, tail)
-    rep = CosetRep(
-        j=sub,
-        mu=mu,
-        g=g,
-        uxu=uxu,
-        zuy=zuy,
-        t_mu=t_mu,
-        t_zero=t_zero,
-        head_x=g.u,
-        tail_x=g.u2,
-        head_z=h.u,
-        tail_z=h.u2,
-    )
+    zuy = (G.lift(sub.z), v, tail)
+    rep = CosetRep(sub, mu, g, uxu, zuy, t_mu, t_zero, g.u, g.u2, h.u, h.u2)
     if G.multiply(*uxu) != g or G.multiply(*zuy) != g:
         raise AssertionError("factor shapes do not multiply back")
     return rep
@@ -317,21 +329,8 @@ def intersect(x, t_x, y, t_y, z, t_z, group: Group | None = None) -> list:
             u2 = G.unipotent(g.u2)
             if G.multiply(u, xtx, u2) != g:
                 raise AssertionError("factor shapes do not multiply back")
-            out.append(
-                CosetRep(
-                    j=sub,
-                    mu=mu,
-                    g=g,
-                    uxu=(u, xtx, u2),
-                    zuy=(ztz, base.zuy[1], yty_inv),
-                    t_mu=base.t_mu,
-                    t_zero=base.t_zero,
-                    head_x=g.u,
-                    tail_x=g.u2,
-                    head_z=base.head_z,
-                    tail_z=base.tail_z,
-                )
-            )
+            zuy = (ztz, base.zuy[1], yty_inv)
+            out.append(replace(base, g=g, uxu=(u, xtx, u2), zuy=zuy, head_x=g.u, tail_x=g.u2))
     return out
 
 

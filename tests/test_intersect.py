@@ -18,6 +18,7 @@ from gghecke.intersect import (
     intersect,
     left_coset_key,
     mu_assignments,
+    rep_entries,
     rep_to_dict,
 )
 from gghecke.rootsys import weyl_group
@@ -258,4 +259,29 @@ def test_build_rep_matches_uncached_derivations(tag, q, reps):
                 assert v == G.unipotent(h.u)
                 assert r.zuy[2] == G.multiply(G.invert(v), h)
                 count += 1
+    assert count == reps, count
+
+
+@pytest.mark.parametrize(
+    "tag,pf,reps",
+    [("A2", (2, 2), 366), ("A2", (7,), 1728), ("B2", (3,), 482), ("B2", (5,), 3338)],
+    ids=["A2-4", "A2-7", "B2-3", "B2-5"],
+)
+def test_rep_entries_match_build_rep(tag, pf, reps):
+    # rep_entries rewrites D_j(mu) once; build_rep rewrites it a second time
+    # with positive root elements and multiplies both shapes back.  Every
+    # representative of every kind pattern goes through both, in order.
+    F = make_field(*pf)
+    b = weyl_group(tag).basis_elements()
+    count = 0
+    for x, y, z in itertools.product(b, repeat=3):
+        for sub in distinguished_subexprs(x, y, z):
+            want = []
+            for mu in mu_assignments(sub, F):
+                r = build_rep(sub, mu)
+                dv = F.trace(F.add(r.head_z[0], r.head_z[1]))
+                dw = (F.sub(r.tail_x[0], r.tail_z[0]), F.sub(r.tail_x[1], r.tail_z[1]))
+                want.append((r.t_zero, r.t_mu, (dv, r.head_x[0], r.head_x[1]) + dw))
+            assert list(rep_entries(sub, F)) == want, sub
+            count += len(want)
     assert count == reps, count

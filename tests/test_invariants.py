@@ -52,7 +52,11 @@ def test_rep_table_sizes_are_iwahori_hecke_constants(tag, pf):
         assert got == _iwahori_hecke(W, F.q, x, y).get(z, 0), kinds
 
 
-@pytest.mark.parametrize("tag,pf", [("A2", (2, 2)), ("B2", (3,))], ids=["A2-4", "B2-3"])
+@pytest.mark.parametrize(
+    "tag,pf",
+    [("A2", (2, 2)), ("A2", (7,)), ("B2", (3,)), ("B2", (5,))],
+    ids=["A2-4", "A2-7", "B2-3", "B2-5"],
+)
 def test_multiply_commutes_on_every_pair(tag, pf):
     H = hecke_algebra(tag, make_field(*pf))
     for i, j in combinations(H.basis, 2):
