@@ -2,9 +2,10 @@
 
 Subcommands: basis, intersect, constants, verify-tables, verify-oracle,
 sums.  Output is deterministic: records come in canonical order, JSON is
-emitted with sorted keys, CSV with a fixed header.  Exit status 0 means
-success or verification pass, 1 a verification mismatch (the mismatch
-report still goes to --out), 2 a usage error.
+emitted with sorted keys, CSV with a fixed header.  Record lists are
+streamed one product row at a time, with the bytes of one whole-list dump.
+Exit status 0 means success or verification pass, 1 a verification
+mismatch (the mismatch report still goes to --out), 2 a usage error.
 """
 
 import argparse
@@ -13,11 +14,11 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import product
 from multiprocessing import Pool
 
-from .cyclo import gauss_sum, kloosterman
+from .cyclo import CycloNum, gauss_sum, kloosterman
 from .gf import Field, field_from_dict, make_field
 from .hecke import BasisElem, HeckeAlgebra, hecke_algebra
 from .intersect import intersect, left_coset_key, rep_to_dict
@@ -81,36 +82,79 @@ def _point_str(b: BasisElem) -> str:
     return f"{b.kind}:{','.join(str(p) for p in b.params)}"
 
 
-def _sorted_basis_key(b: BasisElem):
-    return (b.kind, b.params)
-
-
 # -- emission -----------------------------------------------------------------
 
 
-def emit(records: list, fmt: str, header: list) -> str:
-    """Byte-stable rendering of a record list."""
-    if fmt == "json":
-        return json.dumps({"records": records}, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for rec in records:
-        writer.writerow(
-            [
-                v if isinstance(v, str) else json.dumps(v, sort_keys=True)
-                for v in (rec.get(h, "") for h in header)
-            ]
-        )
-    return buf.getvalue()
+class _Doc:
+    """A record list on its way out.  A record is a tuple of values in header
+    order; JSON writes its keys sorted, CSV its cells in header order.  Each
+    distinct value of a column is encoded once, into that column's memo."""
+
+    def __init__(self, fmt: str, header: list):
+        self.fmt, self.header, self.count, self.opened = fmt, header, 0, False
+        order = range(len(header))
+        if fmt == "json":
+            order = sorted(order, key=header.__getitem__)
+        self.cols = [(c, {}, self._encoder(header[c])) for c in order]
+
+    def _encoder(self, key: str):
+        opts = {"sort_keys": True, "default": CycloNum.to_dict}
+        if self.fmt == "csv":
+            return lambda v: v if isinstance(v, str) else json.dumps(v, **opts)
+        lead = f"      {json.dumps(key)}: "  # a member line of a record in the indent=2 document
+        return lambda v: lead + json.dumps(v, indent=2, **opts).replace("\n", "\n      ")
+
+    def cells(self, row) -> list:
+        out = []
+        for c, memo, enc in self.cols:
+            v = row[c]
+            try:
+                text = memo[v]
+            except KeyError:
+                text = memo[v] = enc(v)
+            except TypeError:  # lists and dicts (intersect's few records) go unmemoized
+                text = enc(v)
+            out.append(text)
+        return out
 
 
-def _write(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def emit(doc: _Doc, rows, last: bool = False) -> str:
+    """The text of one chunk of rows: the document's opening if none of it
+    has been emitted yet, one record per row, and its closing if last.  The
+    chunks add up to what json.dumps(..., sort_keys=True, indent=2) or one
+    csv.writer gives for the whole list."""
+    records = [doc.cells(row) for row in rows]
+    if doc.fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if not doc.opened:
+            writer.writerow(doc.header)
+        writer.writerows(records)
+        text = buf.getvalue()
     else:
-        sys.stdout.write(text)
+        lead = ("" if doc.opened else '{\n  "records": [') + ("," if doc.count and records else "")
+        text = lead + ",".join("\n    {\n" + ",\n".join(r) + "\n    }" for r in records)
+        if last:
+            text += ("\n  ]" if doc.count + len(records) else "]") + "\n}\n"
+    doc.opened = True
+    doc.count += len(records)
+    return text
+
+
+def _output(args):
+    """--out, or stdout, to be opened before any work: a path that cannot be
+    written is a usage error before the first rep table is built."""
+    return open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+
+
+@contextmanager
+def _records(args, header: list):
+    """A writer of one record list: each call emits one chunk of rows, and
+    the closing follows the last."""
+    doc = _Doc(args.format, header)
+    with _output(args) as fh:
+        yield lambda rows: fh.write(emit(doc, rows))
+        fh.write(emit(doc, (), last=True))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -118,16 +162,10 @@ def _write(args, text: str):
 
 def _cmd_basis(args) -> int:
     H = _algebra_of(args)
-    records = [
-        {
-            "kind": b.kind,
-            "params": list(b.params),
-            "point": _point_str(b),
-            "length": H.length(b),
-        }
-        for b in sorted(H.basis, key=_sorted_basis_key)
-    ]
-    _write(args, emit(records, args.format, ["point", "kind", "params", "length"]))
+    basis = sorted(H.basis, key=lambda b: (b.kind, b.params))
+    rows = [(_point_str(b), b.kind, b.params, H.length(b)) for b in basis]
+    with _records(args, ["point", "kind", "params", "length"]) as write:
+        write(rows)
     return 0
 
 
@@ -138,22 +176,18 @@ def _cmd_intersect(args) -> int:
     y, ty = H.point(by)
     z, tz = H.point(bz)
     reps = intersect(x, tx, y, ty, z, tz, group=H.G)
-    records = [rep_to_dict(r) for r in reps]
-    records.sort(key=lambda r: (r["j"], r["mu"]))
-    _write(
-        args,
-        emit(
-            records,
-            args.format,
-            ["j", "type", "mu", "t_mu", "t_0", "rep", "uxu", "zuy"],
-        ),
-    )
+    records = sorted((rep_to_dict(r) for r in reps), key=lambda r: (r["j"], r["mu"]))
+    header = ["j", "type", "mu", "t_mu", "t_0", "rep", "uxu", "zuy"]
+    with _records(args, header) as write:
+        write([tuple(r[h] for h in header) for r in records])
     return 0
 
 
 def _chosen(H: HeckeAlgebra, args) -> list:
     """The i, j and k points of a sweep, each list in the string order of the
     records: the one point a flag names, or the whole basis."""
+    if getattr(args, "jobs", 1) < 1:  # before --out is opened; verify-oracle has no --jobs
+        _usage(f"--jobs must be at least 1, got {args.jobs}")
     basis = sorted(H.basis, key=_point_str)
     out = []
     for text in (args.i, args.j, args.k):
@@ -191,8 +225,6 @@ def _formula_row(payload) -> list:
 def _pool(H: HeckeAlgebra, jobs: int, chosen: list):
     """A worker pool, or None when one process is enough, that has built the
     rep table of every kind pattern the sweep reads and installed it in H."""
-    if jobs < 1:
-        _usage(f"--jobs must be at least 1, got {jobs}")
     patterns = list(product(*(sorted({b.kind for b in c}) for c in chosen)))
     # never more workers than CPUs or patterns, whatever --jobs asks for
     size = min(jobs, os.cpu_count() or 1, len(patterns))
@@ -211,23 +243,12 @@ def _cmd_constants(args) -> int:
     H = _algebra_of(args)
     I, J, K = chosen = _chosen(H, args)
     name = {b: _point_str(b) for b in I + J + K}  # one string per point, not per record
-    with _pool(H, args.jobs, chosen):
-        records = [
-            {
-                "i": name[i],
-                "j": name[j],
-                "k": name[k],
-                "value": s.to_dict(),
-                "render": s.render(),
-            }
-            for i in I
-            for j in J
-            for k, s in zip(K, _row(H, i, j, K))
-        ]
-    _write(
-        args,
-        emit(records, args.format, ["i", "j", "k", "render", "value"]),
-    )
+    render = {}  # one rendering per distinct constant
+    with _records(args, ["i", "j", "k", "render", "value"]) as write, _pool(H, args.jobs, chosen):
+        for i, j in product(I, J):  # one product row per chunk
+            row = _row(H, i, j, K)
+            texts = [render.get(s) or render.setdefault(s, s.render()) for s in row]
+            write([(name[i], name[j], name[k], t, s) for k, t, s in zip(K, texts, row)])
     return 0
 
 
@@ -238,14 +259,9 @@ def _mismatch(reps: list, i, j, k, found: dict) -> dict:
     return {**ijk, **found, "cosets": cosets}
 
 
-def _report(args, H: HeckeAlgebra, checked: int, mismatches: list) -> int:
-    payload = {
-        "checked": checked,
-        "mismatches": mismatches,
-        "type": args.type,
-        "q": H.F.q,
-    }
-    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _report(fh, args, H: HeckeAlgebra, checked: int, mismatches: list) -> int:
+    payload = {"checked": checked, "mismatches": mismatches, "type": args.type, "q": H.F.q}
+    fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 1 if mismatches else 0
 
 
@@ -253,7 +269,7 @@ def _cmd_verify_tables(args) -> int:
     H = _algebra_of(args)
     I, J, K = chosen = _chosen(H, args)
     mismatches = []
-    with _pool(H, args.jobs, chosen) as pool:
+    with _output(args) as fh, _pool(H, args.jobs, chosen) as pool:
         payloads = [(H.tag, H.F.to_dict(), i, J, K) for i in I]
         # the closed forms of each row i stream back while the parent walks
         tables = pool.imap(_formula_row, payloads) if pool else map(_formula_row, payloads)
@@ -264,7 +280,7 @@ def _cmd_verify_tables(args) -> int:
                         reps = intersect(*H.point(i), *H.point(j), *H.point(k), group=H.G)
                         found = {"algorithm": a.render(), "table": t.render()}
                         mismatches.append(_mismatch(reps, i, j, k, found))
-    return _report(args, H, len(I) * len(J) * len(K), mismatches)
+        return _report(fh, args, H, len(I) * len(J) * len(K), mismatches)
 
 
 def _cmd_verify_oracle(args) -> int:
@@ -272,44 +288,37 @@ def _cmd_verify_oracle(args) -> int:
     G = H.G
     I, J, K = _chosen(H, args)
     mismatches = []
-    for i, j in product(I, J):
-        for k, a in zip(K, _row(H, i, j, K)):
-            b = brute_constant(H, i, j, k, mode=1, budget=args.budget)
-            points = [H.point(t) for t in (i, j, k)]
-            lifts = [(G.lift(w), G.torus(*t)) for w, t in points]
-            brute_keys = set(brute_intersect(*lifts, G, budget=args.budget))
-            reps = intersect(*points[0], *points[1], *points[2], group=G)
-            algo_keys = {left_coset_key(r.g) for r in reps}
-            if a != b or brute_keys != algo_keys:
-                found = {
-                    "algorithm": a.render(),
-                    "oracle": b.render(),
-                    "coset_sets_equal": brute_keys == algo_keys,
-                }
-                mismatches.append(_mismatch(reps, i, j, k, found))
-    return _report(args, H, len(I) * len(J) * len(K), mismatches)
+    with _output(args) as fh:
+        for i, j in product(I, J):
+            for k, a in zip(K, _row(H, i, j, K)):
+                b = brute_constant(H, i, j, k, mode=1, budget=args.budget)
+                points = [H.point(t) for t in (i, j, k)]
+                lifts = [(G.lift(w), G.torus(*t)) for w, t in points]
+                brute_keys = set(brute_intersect(*lifts, G, budget=args.budget))
+                reps = intersect(*points[0], *points[1], *points[2], group=G)
+                algo_keys = {left_coset_key(r.g) for r in reps}
+                if a != b or brute_keys != algo_keys:
+                    found = {
+                        "algorithm": a.render(),
+                        "oracle": b.render(),
+                        "coset_sets_equal": brute_keys == algo_keys,
+                    }
+                    mismatches.append(_mismatch(reps, i, j, k, found))
+        return _report(fh, args, H, len(I) * len(J) * len(K), mismatches)
 
 
 def _cmd_sums(args) -> int:
     F = _field_of(args)
-    records = []
     g = gauss_sum(F)
-    records.append(
-        {"sum": "gauss", "value": g.to_dict(), "render": g.render()}
-    )
+    rows = [("gauss", g.render(), g)]
     for spec in args.kloosterman or []:
         parts = [int(t) for t in spec.split(",")]
         if len(parts) not in (4, 6):
             _usage(f"--kloosterman wants l,B,a,b or l,B,a,b,ap,bp, got {spec!r}")
         s = kloosterman(F, *parts)
-        records.append(
-            {
-                "sum": f"S_{parts[0]}({','.join(str(t) for t in parts[1:])})",
-                "value": s.to_dict(),
-                "render": s.render(),
-            }
-        )
-    _write(args, emit(records, args.format, ["sum", "render", "value"]))
+        rows.append((f"S_{parts[0]}({','.join(str(t) for t in parts[1:])})", s.render(), s))
+    with _records(args, ["sum", "render", "value"]) as write:
+        write(rows)
     return 0
 
 

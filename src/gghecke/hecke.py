@@ -76,7 +76,7 @@ class HeckeVec:
         }
 
     def get(self, b: BasisElem, p: int) -> CycloNum:
-        return self.coeffs.get(b, CycloNum.zero(p))
+        return self.coeffs.get(b) or CycloNum.zero(p)  # the zero only on a miss
 
     def items(self):
         return self.coeffs.items()

@@ -1,6 +1,9 @@
 """Command-line behavior: records, formats, exit codes, determinism."""
+import csv
+import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -284,6 +287,9 @@ def test_sums(capsys):
         ["sums", "--q", "3", "--budget", "10"],
         # an --out that cannot be opened is a usage error, not a traceback
         ["basis", "--type", "A2", "--q", "3", "--out", os.path.join(os.devnull, "x.json")],
+        ["constants", "--type", "A2", "--q", "2", "--jobs", "2",
+         "--out", os.path.join(os.devnull, "x.json")],
+        ["verify-tables", "--type", "A2", "--q", "2", "--out", os.path.join(os.devnull, "x.json")],
         # --q names the whole field, so --p or --f beside it conflicts
         ["basis", "--type", "A2", "--q", "4", "--p", "3"],
         ["basis", "--type", "A2", "--q", "3", "--f", "2"],
@@ -318,3 +324,66 @@ def test_modulus_override(capsys):
     )
     assert rc == 0
     assert len(payload["records"]) == 16
+
+
+def test_unwritable_out_fails_before_the_sweep(monkeypatch, capsys):
+    # --out is opened first, so no worker pool starts and no rep table is built
+    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    bad = os.path.join(os.devnull, "x.json")
+    for cmd in ("constants", "verify-tables"):
+        assert run_cli([cmd, "--type", "A2", "--q", "2", "--jobs", "2", "--out", bad]) == 2
+    assert _InlinePool.sizes == []
+    assert capsys.readouterr().out == ""
+
+
+def _canonical(text, fmt):
+    if fmt == "json":
+        return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    return buf.getvalue()
+
+
+# every record-list command over A2/F_2 (p = 2, one coefficient), A2/F_4 and
+# B2/F_3, a --i slice of B2/F_9, an empty record list and a one-record table
+_DOCS = [
+    argv
+    for tag, q in [("A2", "2"), ("A2", "4"), ("B2", "3")]
+    for argv in [
+        ["basis", "--type", tag, "--q", q],
+        ["intersect", "--type", tag, "--q", q, "--x", "0:1,1", "--y", "0:1,1", "--z", "0:1,1"],
+        ["sums", "--q", q, "--kloosterman", "1,1,1,1"],
+        ["constants", "--type", tag, "--q", q],
+    ]
+] + [
+    ["constants", "--type", "B2", "--q", "9", "--i", "0:1,1"],
+    ["intersect", "--type", "A2", "--q", "3", "--x", "2:1", "--y", "1:1", "--z", "3:"],
+    ["constants", "--type", "A2", "--q", "3", "--i", "1:1", "--j", "1:1", "--k", "2:2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emitter_is_canonical(tmp_path, capsys, fmt):
+    # the streamed chunks add up to one canonical document, on stdout and in --out
+    for argv in _DOCS:
+        argv = [*argv, "--format", fmt]
+        assert run_cli(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == _canonical(out, fmt), argv
+        f = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(f)]) == 0, argv
+        assert f.read_bytes() == out.encode(), argv
+
+
+def test_constants_stream_in_less_memory_than_they_write(tmp_path):
+    # rows are written as they are made: no record list, no whole document
+    f = tmp_path / "b2.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["constants", "--type", "B2", "--q", "5", "--out", str(f)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.stat().st_size, (peak, f.stat().st_size)

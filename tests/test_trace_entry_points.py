@@ -19,3 +19,16 @@ def test_every_entry_point_resolves(monkeypatch):
         assert t.missing == []
     finally:
         t.uninstall()
+
+
+def test_every_written_byte_is_emitted(monkeypatch, tmp_path):
+    # a streamed table reaches --out only through cli.emit, framing included
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    from gghecke import cli
+
+    f = tmp_path / "b2.json"
+    with tracer.Tracer() as t:
+        assert cli.run(["constants", "--type", "B2", "--q", "3", "--jobs", "2", "--out", str(f)]) == 0
+    assert t.emitted_bytes == f.stat().st_size > 0
