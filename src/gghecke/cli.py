@@ -19,7 +19,7 @@ from itertools import product
 from multiprocessing import Pool
 
 from .cyclo import CycloNum, gauss_sum, kloosterman
-from .gf import Field, field_from_dict, make_field
+from .gf import _MAX_Q, Field, field_from_dict, make_field
 from .hecke import BasisElem, HeckeAlgebra, hecke_algebra
 from .intersect import intersect, left_coset_key, rep_to_dict
 from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_constant, brute_intersect
@@ -33,6 +33,8 @@ def _usage(msg: str):
 
 
 def _factor_q(q: int) -> tuple:
+    if q > _MAX_Q:
+        raise ValueError(f"q = {q} exceeds the supported bound {_MAX_Q}")
     for p in range(2, q + 1):
         if q % p == 0:
             f = 0

@@ -251,12 +251,14 @@ def make_field(p: int, f: int = 1, modulus: Iterable[int] | None = None) -> Fiel
         ...
     ValueError: p must be prime, got 4
     """
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if f < 1:
         raise ValueError(f"f must be >= 1, got {f}")
-    if p**f > _MAX_Q:
-        raise ValueError(f"q = {p**f} exceeds the supported bound {_MAX_Q}")
+    # bound first, so neither p**f nor the primality test grows with the
+    # input; 2^f alone exceeds the bound once f >= its bit length
+    if p > _MAX_Q or f >= _MAX_Q.bit_length() or p**f > _MAX_Q:
+        raise ValueError(f"q = {p}^{f} exceeds the supported bound {_MAX_Q}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if modulus is None:
         if f == 1:
             mod = (0, 1)

@@ -282,34 +282,20 @@ def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
     return rep
 
 
-def _toral_part(arg, G: Group) -> tuple:
-    if isinstance(arg, GroupElem):
-        if arg.w.length() or any(arg.u) or any(arg.u2):
-            raise ValueError("torus argument is not toral")
-        return arg.t
+def _toral_part(arg) -> tuple:
     t = tuple(arg)
     if len(t) != 2:
         raise ValueError("torus argument must have two coordinates")
     return t
 
 
-def intersect(x, t_x, y, t_y, z, t_z, group: Group | None = None) -> list:
-    """Coset representatives of U(xt_x)U meet (zt_z)U(yt_y)^{-1}U.
-
-    Torus arguments are toral GroupElems or character pairs; a Group is
-    required when none of them is a GroupElem.
-    """
-    if group is None:
-        for cand in (t_x, t_y, t_z):
-            if isinstance(cand, GroupElem):
-                group = cand.group
-                break
-        else:
-            raise ValueError("no group to work in")
+def intersect(x, t_x, y, t_y, z, t_z, group: Group) -> list:
+    """Coset representatives of U(xt_x)U meet (zt_z)U(yt_y)^{-1}U in group,
+    each torus given by its character pair (chi(alpha1), chi(alpha2))."""
     G = group
-    tx = _toral_part(t_x, G)
-    ty = _toral_part(t_y, G)
-    tz = _toral_part(t_z, G)
+    tx = _toral_part(t_x)
+    ty = _toral_part(t_y)
+    tz = _toral_part(t_z)
     W = G.W
     xtx = G.multiply(G.lift(x), G.torus(*tx))
     yty_inv = G.invert(G.multiply(G.lift(y), G.torus(*ty)))

@@ -1,8 +1,11 @@
 """Group engine: relations, normal forms, and the adjoint representation.
 
 The adjoint check rebuilds the Lie algebra over Q from the seeded structure
-constants, verifies the Jacobi identity symbolically, reduces mod p, and
-compares matrix products against the engine's normal forms on random words.
+constants (`_N_SEEDS`), verifies the Jacobi identity symbolically, reduces
+mod p, and compares matrix products against the engine's normal forms on
+random words.  The same matrices pin the engine's sign table
+`chevalley._ETA`: each of its 28 entries is read off Ad(n_i(1)), since the
+rewriting tests alone never read some of them.
 """
 import itertools
 import random
@@ -11,25 +14,37 @@ from functools import lru_cache, reduce
 
 import pytest
 
-from gghecke.chevalley import _N_SEEDS, _eta_table, chevalley_group
+from gghecke.chevalley import _ETA, chevalley_group
 from gghecke.gf import make_field
 from gghecke.rootsys import root_system
 
-ETA_A2 = {
-    (1, 1): -1, (1, 2): 1, (1, 3): -1, (1, 4): -1, (1, 5): 1, (1, 6): -1,
-    (2, 1): -1, (2, 2): -1, (2, 3): 1, (2, 4): -1, (2, 5): -1, (2, 6): 1,
-}
-ETA_B2 = {
-    (1, 1): -1, (1, 2): 1, (1, 3): -1, (1, 4): 1,
-    (1, 5): -1, (1, 6): 1, (1, 7): -1, (1, 8): 1,
-    (2, 1): -1, (2, 2): -1, (2, 3): 1, (2, 4): 1,
-    (2, 5): -1, (2, 6): -1, (2, 7): 1, (2, 8): 1,
+# Chevalley structure constants N(alpha, beta) fixed by the commutator
+# relations in the chevalley module docstring; build_ad closes them under
+# antisymmetry, negation and the zero-sum-triple proportionality
+_N_SEEDS = {
+    "A2": {((1, 0), (0, 1)): 1},
+    "B2": {((1, 0), (0, 1)): 1, ((1, 0), (1, 1)): 2},
 }
 
 
 def test_eta_tables_are_stable():
-    assert dict(_eta_table("A2")) == ETA_A2
-    assert dict(_eta_table("B2")) == ETA_B2
+    # every sign of the engine's table, read off Ad(n_i(1)) over F_5 (where
+    # +1 and -1 differ): column b has one nonzero entry, eta(i, b) at s_i b
+    F = make_field(5)
+    for tag in ("A2", "B2"):
+        rs = root_system(tag)
+        eta = _ETA[tag]
+        word_mat = _adjoint_word_mat(tag, F)
+        idxs = range(1, 2 * rs.n_pos + 1)
+        assert set(eta) == {(i, b) for i in (1, 2) for b in idxs}
+        for i in (1, 2):
+            m = word_mat([("n", i, 1)])
+            for b in idxs:
+                col = {r + 1: m[r][b - 1] for r in range(len(m)) if m[r][b - 1]}
+                assert col == {rs.reflect(i, b): F.of(eta[(i, b)])}, (tag, i, b)
+        # n_i^2 = h_i(-1): eta(i, b) eta(i, s_i b) = (-1)^<b, alpha_i^vee>
+        for (i, b), e in eta.items():
+            assert e * eta[(i, rs.reflect(i, b))] == (-1) ** rs.pairing(rs.root(b), i)
 
 
 def test_one_parameter_subgroups():

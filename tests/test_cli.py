@@ -293,6 +293,11 @@ def test_sums(capsys):
         # --q names the whole field, so --p or --f beside it conflicts
         ["basis", "--type", "A2", "--q", "4", "--p", "3"],
         ["basis", "--type", "A2", "--q", "3", "--f", "2"],
+        # an oversized field fails on its bound, before any factoring,
+        # primality test or power that grows with the input
+        ["basis", "--type", "A2", "--q", "999999999989"],
+        ["basis", "--type", "A2", "--p", "1000000000000000003"],
+        ["basis", "--type", "A2", "--p", "3", "--f", "1000000000"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -32,7 +32,7 @@ def test_round_trip_through_dict():
 
 @pytest.mark.parametrize(
     "args",
-    [(4,), (1,), (6, 2), (2, 0), (2, 2, (0, 1, 1)), (2, 2, (1, 0, 1)), (2, 10), (521,)],
+    [(4,), (1,), (6, 2), (2, 0), (2, 2, (0, 1, 1)), (2, 2, (1, 0, 1)), (2, 10), (521,), (3, 10**9)],
 )
 def test_rejects_bad_parameters(args):
     with pytest.raises(ValueError):
