@@ -1,13 +1,13 @@
 """Exact arithmetic in Z[zeta_p] and the character sums built on it.
 
 A CycloNum is a vector of p-1 coefficients over the basis 1, zeta, ...,
-zeta^(p-2) of Q(zeta_p), where zeta = exp(2 pi i / p); the relation
+zeta^(p-2) of Z[zeta_p], where zeta = exp(2 pi i / p); the relation
 1 + zeta + ... + zeta^(p-1) = 0 folds the top power into the basis.  The
 additive character of F_q is phi(x) = zeta_p^Tr(x).
 
-Coefficients are ints.  A Fraction appears only where a rational is passed
-in (the 1/q of generation_expand, the 1/|U| of the oracle's idempotent),
-and one that reduces to an integer is stored as an int again.
+Coefficients are ints, always.  A caller that needs a rational (the 1/q of
+generation_expand, the 1/|U| of the oracle) sums in Z[zeta_p] and ends with
+one exact_div, which checks that every coefficient divides.
 
 >>> from gghecke.gf import make_field
 >>> F = make_field(5)
@@ -17,31 +17,32 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 from . import gf
 
 
-def _exact(c):
-    """An int as is; anything else as a Fraction, or an int when integral."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class CycloNum:
-    """Element of Q(zeta_p), exact; immutable."""
+    """Element of Z[zeta_p], exact; immutable."""
 
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        cs = tuple(map(_exact, coeffs))
+        cs = tuple(coeffs)
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
+        if not all(type(c) is int for c in cs):
+            raise TypeError(f"coefficients must be ints, got {cs!r}")
         self.p = p
         self.coeffs = cs
+
+    @staticmethod
+    def _of(p: int, cs: tuple) -> "CycloNum":
+        """Unchecked constructor: cs is already a tuple of p - 1 ints."""
+        z = object.__new__(CycloNum)
+        z.p, z.coeffs = p, cs
+        return z
 
     # -- constructors --------------------------------------------------------
 
@@ -74,23 +75,20 @@ class CycloNum:
                 else:
                     for i in range(p - 1):
                         cs[i] -= n
-        # int sums of int counts: skip __init__'s _exact pass
-        z = object.__new__(CycloNum)
-        z.p, z.coeffs = p, tuple(cs)
-        return z
+        return CycloNum._of(p, tuple(cs))
 
     # -- ring ops -------------------------------------------------------------
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._chk(other)
-        return CycloNum(self.p, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNum._of(self.p, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         self._chk(other)
-        return CycloNum(self.p, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNum._of(self.p, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.p, (-a for a in self.coeffs))
+        return CycloNum._of(self.p, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other) -> "CycloNum":
         if not isinstance(other, CycloNum):
@@ -104,13 +102,22 @@ class CycloNum:
                     if b:
                         acc[(i + j) % p] += a * b
         top = acc[p - 1]
-        return CycloNum(p, (acc[i] - top for i in range(p - 1)))
+        return CycloNum._of(p, tuple([acc[i] - top for i in range(p - 1)]))
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "CycloNum":
-        c = _exact(c)
-        return CycloNum(self.p, (a * c for a in self.coeffs))
+    def scale(self, c: int) -> "CycloNum":
+        if type(c) is not int:
+            raise TypeError(f"scale factor must be an int, got {c!r}")
+        return CycloNum._of(self.p, tuple([a * c for a in self.coeffs]))
+
+    def exact_div(self, n: int) -> "CycloNum":
+        """self / n; ValueError unless n divides every coefficient."""
+        if type(n) is not int:
+            raise TypeError(f"divisor must be an int, got {n!r}")
+        if any(a % n for a in self.coeffs):
+            raise ValueError(f"{self.render()} is not divisible by {n}")
+        return CycloNum._of(self.p, tuple([a // n for a in self.coeffs]))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -158,7 +165,7 @@ class CycloNum:
 
     @staticmethod
     def from_dict(d: dict) -> "CycloNum":
-        return CycloNum(d["p"], d["coeffs"])
+        return CycloNum(d["p"], (int(c) if isinstance(c, str) else c for c in d["coeffs"]))
 
 
 # -- character sums -----------------------------------------------------------

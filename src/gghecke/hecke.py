@@ -11,7 +11,6 @@ the expansion of e_0(x, y) through e_1, e_2 products.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import Group, GroupElem, chevalley_group
@@ -727,7 +726,11 @@ class HeckeAlgebra:
     # -- generation ----------------------------------------------------------------
 
     def generation_expand(self, x: int, y: int) -> HeckeVec:
-        """q^{-1} sum_z (phi(z)-1) e_1(-y/z) e_2(-x/z) + q^2 [x=-y] e_3."""
+        """q^{-1} sum_z (phi(z)-1) e_1(-y/z) e_2(-x/z) + q^2 [x=-y] e_3.
+
+        The sum over z stays in Z[zeta_p]; each of its coefficients is then
+        divided by q once, with exact_div checking that the division is exact.
+        """
         if self.tag != "A2":
             raise ValueError("generation identity is encoded for A2 only")
         F = self.F
@@ -736,14 +739,13 @@ class HeckeAlgebra:
             raise ValueError("arguments must be units")
         acc = HeckeVec()
         one = CycloNum.from_int(p, 1)
-        qinv = Fraction(1, q)
         for z in F.units():
-            coef = (self.char.phi_of(z) - one).scale(qinv)
             prod = self.multiply(
                 BasisElem(1, (F.neg(F.div(y, z)),)),
                 BasisElem(2, (F.neg(F.div(x, z)),)),
             )
-            acc = acc + prod.scale(coef)
+            acc = acc + prod.scale(self.char.phi_of(z) - one)
+        acc = HeckeVec({b: c.exact_div(q) for b, c in acc.items()})
         if x == F.neg(y):
             acc = acc + HeckeVec({BasisElem(3): CycloNum.from_int(p, q * q)})
         return acc

@@ -1,16 +1,16 @@
 """Brute-force cross-checks, independent of the intersect/hecke code paths.
 
-Everything here works from first principles in the finite group: the
-idempotent e is expanded as an explicit group-algebra vector, double-coset
-intersections are found by scanning U-translates, and structure constants
-come out either by summing psi-values over the scanned cosets (mode 1) or
-by convolving e*n_i*e with e*n_j*e and extracting one coefficient
-(mode 2).  Slow on purpose; budgets are explicit and exceeding one is an
-error, never silent truncation.
+Everything here works from first principles in the finite group: |U| e,
+for the idempotent e, is expanded as an explicit group-algebra vector over
+Z[zeta_p], double-coset intersections are found by scanning U-translates,
+and structure constants come out either by summing psi-values over the
+scanned cosets (mode 1) or by convolving |U|^2 e*n_i*e with |U|^2 e*n_j*e,
+extracting one coefficient and dividing it by |U|^3 exactly (mode 2).  Slow
+on purpose; budgets are explicit and exceeding one is an error, never
+silent truncation.
 """
 
 import itertools
-from fractions import Fraction
 
 from .chevalley import Group, GroupElem, chevalley_group
 from .cyclo import CycloNum, phi
@@ -95,17 +95,14 @@ def brute_intersect(
 
 
 def idempotent(H: HeckeAlgebra, budget: int = DEFAULT_BUDGET) -> dict:
-    """e = |U|^{-1} sum of psi(u^{-1}) u, as {GroupElem: CycloNum}."""
+    """|U| e = sum of psi(u^{-1}) u, as {GroupElem: CycloNum}; e is this / |U|."""
     G, F = H.G, H.F
     _guard(F.q**G.N, budget, "U-scan")
-    units = _all_unipotents(G)
-    psi_inv = _psi_inv_table(G, units)
-    w = Fraction(1, len(units))
-    return {u: psi_inv[u].scale(w) for u in units}
+    return _psi_inv_table(G, _all_unipotents(G))
 
 
 def ene(H: HeckeAlgebra, b: BasisElem, budget: int = DEFAULT_BUDGET) -> dict:
-    """e * n_b * e as a sparse group-algebra vector."""
+    """|U|^2 e n_b e as a sparse group-algebra vector (e as in idempotent)."""
     G, F = H.G, H.F
     _guard((F.q**G.N) ** 2, budget, "U x U scan")
     n = H.group_elem(b)
@@ -122,8 +119,7 @@ def ene(H: HeckeAlgebra, b: BasisElem, budget: int = DEFAULT_BUDGET) -> dict:
                 out[g] = out[g] + c
             else:
                 out[g] = c
-    w = Fraction(1, len(units) ** 2)
-    return {g: c.scale(w) for g, c in out.items() if not c.is_zero()}
+    return {g: c for g, c in out.items() if not c.is_zero()}
 
 
 def vec_convolve(G: Group, a: dict, b: dict) -> dict:
@@ -162,7 +158,8 @@ def brute_constant(
     where D is the sum of the two simple-root coordinates.
 
     Mode 2 convolves E_i = e n_i e with E_j and extracts the coefficient
-    at n_k: S = |U| q^{l_i + l_j} (E_i * E_j)(n_k).
+    at n_k: S = |U| q^{l_i + l_j} (E_i * E_j)(n_k).  ene gives |U|^2 E_i,
+    so the integral product is divided by |U|^3 = q^{3N} once, exactly.
     """
     G, F = H.G, H.F
     if mode == 2:
@@ -174,7 +171,7 @@ def brute_constant(
             c2 = Ej.get(G.multiply(G.invert(h), nk))
             if c2 is not None:
                 acc = acc + c * c2
-        return acc.scale(F.q**G.N * F.q ** (H.length(i) + H.length(j)))
+        return acc.scale(F.q ** (H.length(i) + H.length(j))).exact_div(F.q ** (3 * G.N))
     if mode != 1:
         raise ValueError("mode must be 1 or 2")
     x, tx = H.point(i)

@@ -76,22 +76,28 @@ def test_dict_round_trip():
 
 
 def test_integral_coefficients_are_ints():
-    v = CycloNum(5, [Fraction(6, 2), 2, Fraction(-4, 4), 0])
-    assert v.coeffs == (3, 2, -1, 0)
-    assert all(type(c) is int for c in v.coeffs)
+    v = CycloNum(5, [3, 2, -1, 0])
     assert all(type(c) is int for c in (v * v + v).scale(-2).coeffs)
     assert all(type(c) is int for c in CycloNum.from_dict(v.to_dict()).coeffs)
-    # a rational survives, and clears back to an int once it is integral
-    third = CycloNum.from_int(5, 1).scale(Fraction(1, 3))
-    assert third.coeffs[0] == Fraction(1, 3)
-    assert CycloNum.from_dict(third.to_dict()) == third
-    assert type(third.scale(3).coeffs[0]) is int
+    # a rational is refused, not stored
+    with pytest.raises(TypeError):
+        CycloNum(5, [Fraction(6, 2), 2, -1, 0])
+    with pytest.raises(TypeError):
+        CycloNum(5, [0.5, 2, -1, 0])
+    with pytest.raises(TypeError):
+        v.scale(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        CycloNum.from_dict({"p": 5, "coeffs": ["1/3", "0", "0", "0"]})
+    # division is exact or refused
+    assert v.scale(6).exact_div(3) == v.scale(2)
+    with pytest.raises(ValueError):
+        v.exact_div(3)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 @settings(max_examples=100)
 def test_from_zeta_counts_matches_checked_path(p, data):
-    # from_zeta_counts skips _exact; its coefficients must still be the ints
+    # from_zeta_counts skips the int check; its coefficients must still be the ints
     # that the checked constructor gives for the same sum of zeta powers
     counts = data.draw(st.lists(st.integers(-30, 30), min_size=p, max_size=p))
     got = CycloNum.from_zeta_counts(p, counts)

@@ -5,16 +5,20 @@ representatives of a kind pattern (x, y, z) are counted by Deodhar's
 distinguished subexpressions (Deodhar, Invent. Math. 79, 1985), so their
 number is the coefficient of T_z in T_x T_y, where T_s^2 = (q-1) T_s + q.
 The reference below uses only Weyl-group arithmetic with integer q, none of
-the group engine.  The Gelfand-Graev Hecke algebra is commutative, which
-checks every product against another without any closed form.
+the group engine; from the walk types alone (q choices at an A, q-1 at a B)
+the same count is checked at every prime power q <= 512.  The Gelfand-Graev
+Hecke algebra is commutative and associative, which checks every product
+against others without any closed form.
 """
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
 from gghecke import cli
 from gghecke.gf import make_field
-from gghecke.hecke import hecke_algebra
+from gghecke.hecke import HeckeVec, hecke_algebra
+from gghecke.intersect import distinguished_subexprs
 from gghecke.rootsys import weyl_group
 
 
@@ -52,6 +56,27 @@ def test_rep_table_sizes_are_iwahori_hecke_constants(tag, pf):
         assert got == _iwahori_hecke(W, F.q, x, y).get(z, 0), kinds
 
 
+def _is_prime_power(q: int) -> bool:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_walk_types_count_iwahori_hecke_constants(tag):
+    W = weyl_group(tag)
+    bw = W.basis_elements()
+    qs = [q for q in range(2, 513) if _is_prime_power(q)]
+    assert len(qs) == 117
+    for kinds in product(range(4), repeat=3):
+        x, y, z = (bw[k] for k in kinds)
+        subs = distinguished_subexprs(x, y, z)
+        for q in qs:
+            got = sum(q ** s.types.count("A") * (q - 1) ** s.types.count("B") for s in subs)
+            assert got == _iwahori_hecke(W, q, x, y).get(z, 0), (kinds, q)
+
+
 @pytest.mark.parametrize(
     "tag,pf",
     [("A2", (2, 2)), ("A2", (7,)), ("B2", (3,)), ("B2", (5,))],
@@ -61,3 +86,26 @@ def test_multiply_commutes_on_every_pair(tag, pf):
     H = hecke_algebra(tag, make_field(*pf))
     for i, j in combinations(H.basis, 2):
         assert H.multiply(i, j) == H.multiply(j, i), (i, j)
+
+
+@pytest.mark.parametrize(
+    "tag,pf", [("A2", (3,)), ("A2", (2, 2)), ("B2", (3,))], ids=["A2-3", "A2-4", "B2-3"]
+)
+def test_multiply_associates_on_every_triple(tag, pf):
+    H = hecke_algebra(tag, make_field(*pf))
+
+    @lru_cache(maxsize=None)
+    def mul(i, j):
+        return H.multiply(i, j)
+
+    def expand(vec, times):
+        # sum over l of vec[l] * times(l)
+        out = HeckeVec()
+        for l, c in vec.items():
+            out = out + times(l).scale(c)
+        return out
+
+    for i, j, k in product(H.basis, repeat=3):
+        left = expand(mul(i, j), lambda l: mul(l, k))
+        right = expand(mul(j, k), lambda l: mul(i, l))
+        assert left == right, (i, j, k)

@@ -39,8 +39,9 @@ def test_budget_is_enforced():
 @pytest.mark.parametrize("tag,q", [("A2", 2), ("A2", 3), ("B2", 3)])
 def test_idempotent_squares_to_itself(tag, q):
     H = hecke_algebra(tag, make_field(q))
-    e = idempotent(H)
-    assert vec_equal(vec_convolve(H.G, e, e), e)
+    e = idempotent(H)  # |U| times the idempotent, so e * e = |U| e
+    size = H.F.q ** H.G.N
+    assert vec_equal(vec_convolve(H.G, e, e), {g: c.scale(size) for g, c in e.items()})
 
 
 @pytest.mark.parametrize("q", [2, 3])
