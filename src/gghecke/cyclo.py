@@ -176,16 +176,40 @@ def phi(field: gf.Field, x: int) -> CycloNum:
     return CycloNum.zeta_pow(field.p, field.trace(x))
 
 
+def _trace_counts(field: gf.Field, xs) -> tuple:
+    """Entry r is the number of x in xs with Tr(x) = r."""
+    counts = [0] * field.p
+    for x in xs:
+        counts[field.trace(x)] += 1
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def square_counts(field: gf.Field) -> tuple:
+    """Entry r is #{x in F_q : Tr(x^2) = r}, so G = sum_r entry_r zeta^r."""
+    return _trace_counts(field, (field.mul(x, x) for x in field.elements()))
+
+
+@lru_cache(maxsize=None)
+def kloosterman_counts(field: gf.Field) -> tuple:
+    """Row c, entry r is #{w in F_q^* : Tr(w + c/w) = r}: the count vector of
+    the Kloosterman sum over w of phi(w + c/w).  Row 0 counts Tr(u) over units.
+
+    For units a, b, w -> w/a turns the sum over w of phi(a w + b/w) into row
+    ab; when exactly one of a, b is 0 that sum is row 0.
+    """
+    F = field
+    return tuple(_trace_counts(F, (F.add(w, F.div(c, w)) for w in F.units()))
+                 for c in F.elements())
+
+
 @lru_cache(maxsize=None)
 def gauss_sum(field: gf.Field) -> CycloNum:
     """G = sum over x in F_q of phi(x^2); 0 in characteristic 2.
 
     Computed once per field; the shared CycloNum is immutable.
     """
-    counts = [0] * field.p
-    for x in field.elements():
-        counts[field.trace(field.mul(x, x))] += 1
-    return CycloNum.from_zeta_counts(field.p, counts)
+    return CycloNum.from_zeta_counts(field.p, square_counts(field))
 
 
 def quad_char_sum(field: gf.Field, A: int, B: int, C: int) -> CycloNum:

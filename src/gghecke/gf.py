@@ -163,7 +163,9 @@ class Field:
         return self._inv[a]
 
     def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
+        if b == 0:
+            raise ZeroDivisionError("division by 0")
+        return self._mul[a][self._inv[b]]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chevalley import Group, GroupElem, chevalley_group
-from .cyclo import CycloNum, gauss_sum, phi, root_sum
+from .cyclo import CycloNum, gauss_sum, kloosterman_counts, phi, root_sum, square_counts
 from .gf import Field
 from .intersect import distinguished_subexprs, intersect, rep_entries
 
@@ -117,6 +117,10 @@ class HeckeAlgebra:
         # a psi-argument is the sum of these rows over its terms, mod p
         F = field
         self._tr = [[F.trace(F.mul(c, x)) for x in F.elements()] for c in F.elements()]
+        # for the closed forms: t^n (n = 1, 2, 3, 4, -1, -2) per unit t, and
+        # the constants 0, 1, q
+        self._tpow = [tuple(F.pow(t, n) for n in (1, 2, 3, 4, -1, -2)) for t in F.units()]
+        self._zero, self._one, self._q = (CycloNum.from_int(F.p, n) for n in (0, 1, F.q))
 
     # -- basis ---------------------------------------------------------------
 
@@ -320,14 +324,12 @@ class HeckeAlgebra:
         """Exact value of the printed closed form for S_{ij}^k."""
         for b in (i, j, k):
             self._check(b)
-        F = self.F
-        p = F.p
-        zero = CycloNum.zero(p)
+        zero, one = self._zero, self._one
         kinds = (i.kind, j.kind, k.kind)
         if i.kind == 3:
-            return CycloNum.from_int(p, 1) if (j.kind, j.params) == (k.kind, k.params) else zero
+            return one if (j.kind, j.params) == (k.kind, k.params) else zero
         if j.kind == 3:
-            return CycloNum.from_int(p, 1) if (i.kind, i.params) == (k.kind, k.params) else zero
+            return one if (i.kind, i.params) == (k.kind, k.params) else zero
         if k.kind == 3:
             return self._unit_column(i, j)
         if i.kind > j.kind:
@@ -339,7 +341,7 @@ class HeckeAlgebra:
         """Coefficient of the unit: the q^l(w) delta entries."""
         F = self.F
         p, q = F.p, F.q
-        zero = CycloNum.zero(p)
+        zero = self._zero
         kinds = (i.kind, j.kind)
         if self.tag == "A2":
             if kinds == (0, 0):
@@ -369,9 +371,8 @@ class HeckeAlgebra:
 
     def _f_a2(self, kinds, s1, s2, s3) -> CycloNum:
         F = self.F
-        p, q = F.p, F.q
-        zero = CycloNum.zero(p)
-        qq = CycloNum.from_int(p, q)
+        q = F.q
+        zero, qq = self._zero, self._q
         add, sub, mul, div, neg, inv = F.add, F.sub, F.mul, F.div, F.neg, F.inv
         ph = self.char.phi_of
         m1 = F.neg(1)
@@ -472,8 +473,7 @@ class HeckeAlgebra:
     def _f_b2(self, kinds, s1, s2, s3) -> CycloNum:
         F = self.F
         p, q = F.p, F.q
-        zero = CycloNum.zero(p)
-        qq = CycloNum.from_int(p, q)
+        zero = self._zero
         add, sub, mul, div, neg, inv = F.add, F.sub, F.mul, F.div, F.neg, F.inv
         ph = self.char.phi_of
         m1 = F.neg(1)
@@ -485,75 +485,61 @@ class HeckeAlgebra:
             return 1 if F.is_square(x) else -1
 
         if kinds == (0, 0, 0):
+            # three branches, one count vector (exponents 0..2p-2, folded mod p)
             (a1, b1), (a2, b2), (a3, b3) = s1, s2, s3
-            acc = zero
-            tb = div(b1, mul(b2, b3))
-            # branch one: both square roots must exist
-            ta = neg(div(a1, mul(a2, a3)))
-            if F.is_square(ta) and F.is_square(tb):
-                lhs = sub(div(b2, b1), 1)
-                coef = div(m3(a3, b2, b3), mul(a1, b1))
-                for z1 in F.rth_roots(ta, 2):
-                    for z2 in F.rth_roots(tb, 2):
-                        if lhs != mul(coef, mul(z1, z2)):
-                            continue
-                        arg = add(
-                            add(neg(z1), mul(div(a2, a1), z1)),
-                            add(
-                                neg(mul(div(a3, a1), z1)),
-                                mul(F.of(2), mul(div(b2, b1), z2)),
-                            ),
-                        )
-                        acc = acc + ph(arg).scale(q)
-            # branch two: Gauss-sum branch
-            if F.is_square(tb):
-                gs = gauss_sum(F)
-                bb = sub(1, div(a3, a1))
-                part = zero
-                for z in F.rth_roots(tb, 2):
-                    aa = div(mul(a2, a3), m3(a1, b3, z))
-                    cc = add(z, add(div(inv(b2), z), div(inv(b3), z)))
-                    arg = sub(cc, div(mul(bb, bb), mul(F.of(4), aa)))
-                    part = part + ph(arg).scale(legendre(aa))
-                acc = acc + gs * part
-            # branch three: Kloosterman-in-t sum, phi(outer) folded into the counts
-            if F.is_square(tb):
-                A = div(a1, mul(a2, a3))
-                B = tb
-                counts = [0] * p
-                for z in F.rth_roots(B, 2):
-                    for t in F.units():
-                        t2 = mul(t, t)
-                        t3 = mul(t2, t)
-                        t4 = mul(t2, t2)
-                        outer = add(
-                            add(
-                                neg(div(mul(F.of(2), t2), m3(b3, A, z))),
-                                neg(div(mul(t, add(mul(a2, A), 1)), mul(a2, A))),
-                            ),
-                            neg(inv(mul(a3, t))),
-                        )
-                        ka = sub(
-                            add(
-                                add(
-                                    neg(div(t4, m3(b3, mul(A, A), B))),
-                                    neg(div(t3, m3(a2, mul(A, A), z))),
-                                ),
-                                add(
-                                    neg(div(mul(t2, add(mul(b3, B), 1)), m3(b3, A, B))),
-                                    neg(div(t, m3(a2, A, z))),
-                                ),
-                            ),
-                            F.of(1),
-                        )
-                        kb = sub(
-                            sub(neg(inv(b3)), div(mul(A, z), t)),
-                            div(A, mul(b2, t2)),
-                        )
-                        for w in F.units():
-                            counts[F.trace(add(outer, add(mul(ka, w), div(kb, w))))] += 1
-                acc = acc + CycloNum.from_zeta_counts(p, counts)
-            return acc
+            A, B = div(a1, mul(a2, a3)), div(b1, mul(b2, b3))
+            zs = F.rth_roots(B, 2)
+            if not zs:
+                return zero
+            counts = [0] * (2 * p - 1)
+            # branch one: q at Tr(arg) per root pair z1^2 = -A, z2^2 = B on a line
+            lhs = sub(div(b2, b1), 1)
+            coef = div(m3(a3, b2, b3), mul(a1, b1))
+            c1 = sub(add(m1, div(a2, a1)), div(a3, a1))
+            c2 = mul(F.of(2), div(b2, b1))
+            for z1 in F.rth_roots(neg(A), 2):
+                for z2 in zs:
+                    if lhs == mul(coef, mul(z1, z2)):
+                        counts[F.trace(add(mul(c1, z1), mul(c2, z2)))] += q
+            # branch two: chi(aa) G phi(arg) per root z; G phi(arg) is the sum over
+            # x of zeta^(Tr(x^2) + Tr(arg)): the square counts rotated by Tr(arg)
+            squares = square_counts(F)
+            bb = sub(1, div(a3, a1))
+            for z in zs:
+                aa = div(mul(a2, a3), m3(a1, b3, z))
+                cc = add(z, add(div(inv(b2), z), div(inv(b3), z)))
+                s = F.trace(sub(cc, div(mul(bb, bb), mul(F.of(4), aa))))
+                sgn = legendre(aa)
+                for r, n in enumerate(squares):
+                    counts[r + s] += sgn * n
+            # branch three: sum over roots z and units t of phi(outer) times
+            # sum_w phi(ka w + kb/w), where outer = o2 t^2 + o1 t + om/t,
+            # ka = k4 t^4 + k3 t^3 + k2 t^2 + k1 t - 1, kb = l0 + l1/t + l2/t^2.
+            # For units ka, kb, w -> w/ka makes the w-sum row ka kb of the
+            # Kloosterman counts (row 0 if just one is 0, q - 1 at 0 if both
+            # are), rotated by Tr(outer) from the trace rows of o2, o1, om.
+            kl = kloosterman_counts(F)
+            tr = self._tr
+            tr1 = tr[neg(div(add(mul(a2, A), 1), mul(a2, A)))]
+            trm = tr[neg(inv(a3))]
+            k4 = neg(inv(m3(b3, mul(A, A), B)))
+            k2 = neg(div(add(mul(b3, B), 1), m3(b3, A, B)))
+            l0, l2 = neg(inv(b3)), neg(div(A, b2))
+            for z in zs:
+                tr2 = tr[neg(div(F.of(2), m3(b3, A, z)))]
+                k3 = neg(inv(m3(a2, mul(A, A), z)))
+                k1 = neg(inv(m3(a2, A, z)))
+                l1 = neg(mul(A, z))
+                for t, t2, t3, t4, ti, ti2 in self._tpow:
+                    s = (tr2[t2] + tr1[t] + trm[ti]) % p
+                    ka = add(add(add(mul(k4, t4), mul(k3, t3)), add(mul(k2, t2), mul(k1, t))), m1)
+                    kb = add(add(l0, mul(l1, ti)), mul(l2, ti2))
+                    if ka or kb:
+                        for r, n in enumerate(kl[mul(ka, kb)]):
+                            counts[r + s] += n
+                    else:
+                        counts[s] += q - 1
+            return CycloNum.from_zeta_counts(p, counts)
         if kinds == (0, 0, 1):
             (a1, b1), (a2, b2), (c3,) = s1, s2, s3
             target = div(b1, mul(b2, c3))

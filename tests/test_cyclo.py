@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gghecke.cyclo import CycloNum, gauss_sum, kloosterman, phi, quad_char_sum
+from gghecke.cyclo import (
+    CycloNum,
+    gauss_sum,
+    kloosterman,
+    kloosterman_counts,
+    phi,
+    quad_char_sum,
+    square_counts,
+)
 from gghecke.gf import make_field
 
 SMALL_FIELDS = [
@@ -111,13 +119,38 @@ def test_from_zeta_counts_matches_checked_path(p, data):
 
 def test_gauss_sum_is_cached_and_exact():
     for q, (p, f) in {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1),
-                      7: (7, 1), 8: (2, 3), 9: (3, 2)}.items():
+                      7: (7, 1), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3)}.items():
         F = make_field(p, f)
         inline = CycloNum.zero(p)
         for x in F.elements():
             inline = inline + phi(F, F.mul(x, x))
         assert gauss_sum(F) == inline, q
         assert gauss_sum(F) is gauss_sum(F)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["q3", "q5", "q7", "q9", "q25", "q27"])
+def test_count_tables_match_direct_counts(p, f):
+    # the B2 closed form reads sum_w phi(o + ka w + kb/w) as the Kloosterman
+    # row of ka kb rotated by Tr(o), or q - 1 at Tr(o) when ka = kb = 0; at
+    # f > 1 the trace is not the identity
+    F = make_field(p, f)
+    kl = kloosterman_counts(F)
+    for ka in F.elements():
+        for kb in F.elements():
+            o = F.add(ka, F.mul(kb, kb))
+            direct = [0] * p
+            for w in F.units():
+                direct[F.trace(F.add(o, F.add(F.mul(ka, w), F.div(kb, w))))] += 1
+            row = kl[F.mul(ka, kb)] if ka or kb else [F.q - 1] + [0] * (p - 1)
+            rotated = [0] * p
+            for r, n in enumerate(row):
+                rotated[(r + F.trace(o)) % p] += n
+            assert rotated == direct, (F.q, ka, kb)
+    brute = [0] * p
+    for x in F.elements():
+        brute[F.trace(F.mul(x, x))] += 1
+    assert square_counts(F) == tuple(brute)
 
 
 def test_phi_turns_addition_into_multiplication():

@@ -125,3 +125,11 @@ def test_multiplicative_generator():
         g = _multiplicative_generator(F)
         powers = {F.pow(g, n) for n in range(F.q - 1)}
         assert len(powers) == F.q - 1
+
+
+@pytest.mark.parametrize("q", [(5,), (3, 2)], ids=["q5", "q9"])
+def test_div_by_zero_raises(q):
+    F = make_field(*q)
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)
+    assert all(F.mul(F.div(a, b), b) == a for a in F.elements() for b in F.units())

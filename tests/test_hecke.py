@@ -1,5 +1,6 @@
 """Hecke algebra basis, structure constants, closed forms."""
 import itertools
+import random
 
 import pytest
 
@@ -155,6 +156,21 @@ def test_closed_forms_over_extension_field():
     H = hecke_algebra("A2", make_field(2, 2))
     for i, j, k in itertools.product(H.basis, repeat=3):
         assert H.structure_constant(i, j, k) == H.table_formula(i, j, k), (i, j, k)
+
+
+def test_b2_longest_word_closed_form_over_f9():
+    # kinds (0,0,0) is zero unless b1/(b2 b3) is a square; sample the rest,
+    # where all three branches of the closed form run over a non-prime field
+    F = make_field(3, 2)
+    H = hecke_algebra("B2", F)
+    k0 = [b for b in H.basis if b.kind == 0]
+    live = [
+        (i, j, k)
+        for i, j, k in itertools.product(k0, repeat=3)
+        if F.is_square(F.div(i.params[1], F.mul(j.params[1], k.params[1])))
+    ]
+    for i, j, k in random.Random(7).sample(live, 400):
+        assert H.table_formula(i, j, k) == H.structure_constant(i, j, k), (i, j, k)
 
 
 def test_table_formula_validates_params():
