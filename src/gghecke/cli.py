@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from itertools import product
 from multiprocessing import Pool
@@ -223,22 +224,32 @@ def _formula_row(payload) -> list:
     return [[H.table_formula(i, j, k) for k in K] for j in J]
 
 
+def _ordered(pool, fn, items, window: int):
+    """fn over items in order through the pool, at most window results due and not taken."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.apply_async(fn, (item,)))
+        if len(pending) == window:
+            yield pending.popleft().get()
+    yield from (r.get() for r in pending)
+
+
 @contextmanager
 def _pool(H: HeckeAlgebra, jobs: int, chosen: list):
-    """A worker pool, or None when one process is enough, that has built the
-    rep table of every kind pattern the sweep reads and installed it in H."""
+    """map, or a map through a worker pool (two rows in flight per worker) that
+    has built the rep table of every kind pattern the sweep reads into H."""
     patterns = list(product(*(sorted({b.kind for b in c}) for c in chosen)))
     # never more workers than CPUs or patterns, whatever --jobs asks for
     size = min(jobs, os.cpu_count() or 1, len(patterns))
     if size <= 1:
-        yield None
+        yield map
         return
     payloads = [(H.tag, H.F.to_dict(), kinds) for kinds in patterns]
     with Pool(size) as pool:
         # one pattern per hand-out: the costliest (0,0,.) patterns come first
         for kinds, buckets in zip(patterns, pool.map(_rep_buckets, payloads, chunksize=1)):
             H._reps(kinds, buckets)
-        yield pool
+        yield lambda fn, items: _ordered(pool, fn, items, 2 * size)
 
 
 def _cmd_constants(args) -> int:
@@ -271,10 +282,9 @@ def _cmd_verify_tables(args) -> int:
     H = _algebra_of(args)
     I, J, K = chosen = _chosen(H, args)
     mismatches = []
-    with _output(args) as fh, _pool(H, args.jobs, chosen) as pool:
-        payloads = [(H.tag, H.F.to_dict(), i, J, K) for i in I]
+    with _output(args) as fh, _pool(H, args.jobs, chosen) as rows:
         # the closed forms of each row i stream back while the parent walks
-        tables = pool.imap(_formula_row, payloads) if pool else map(_formula_row, payloads)
+        tables = rows(_formula_row, ((H.tag, H.F.to_dict(), i, J, K) for i in I))
         for i, table in zip(I, tables):
             for j, trow in zip(J, table):
                 for k, a, t in zip(K, _row(H, i, j, K), trow):

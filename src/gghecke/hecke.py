@@ -10,6 +10,7 @@ table_formula for cross-verification, and generation_expand evaluates
 the expansion of e_0(x, y) through e_1, e_2 products.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,6 +102,14 @@ class HeckeVec:
         return inner or "0"
 
 
+class _Points(dict):
+    """Basis point -> (its index in the basis, torus pair t, chi_t at every root
+    index with slot 0 unused); a point not in the basis has a non-unit parameter."""
+
+    def __missing__(self, b):
+        raise ValueError("basis parameters must be units")
+
+
 class HeckeAlgebra:
     def __init__(self, tag: str, field: Field):
         self.tag = tag
@@ -110,9 +119,13 @@ class HeckeAlgebra:
         self._bw = self.W.basis_elements()
         self._lengths = tuple(w.length() for w in self._bw)
         self.char = GGChar(self.G)
-        self.basis = self._compute_basis()
         self._reptables = {}
-        self._chi = {}
+        G, rows, self._tor = self.G, {}, _Points()
+        for n, (b, t) in enumerate(self._compute_basis()):
+            if t not in rows:
+                rows[t] = (0,) + tuple(G.chi_at(t, r) for r in range(1, 2 * G.N + 1))
+            self._tor[b] = (n, t, rows[t])
+        self.basis = tuple(self._tor)
         # row c is x -> trace(c*x); the trace is F_p-linear, so the trace of
         # a psi-argument is the sum of these rows over its terms, mod p
         F = field
@@ -145,7 +158,8 @@ class HeckeAlgebra:
                     return False
         return True
 
-    def _compute_basis(self) -> tuple:
+    def _compute_basis(self) -> list:
+        """(basis point, its torus pair), in basis order."""
         G, F, W = self.G, self.F, self.W
         found = {}
         order = sorted(W.elements, key=lambda w: (w.length(), w.digits()))
@@ -158,23 +172,21 @@ class HeckeAlgebra:
         w0, w1, w2, w3 = self._bw
         if set(found) != {w0, w1, w2, w3}:
             raise AssertionError("basis supported on unexpected Weyl elements")
-        out = []
-        for a, b in sorted(found[w0]):
-            out.append(BasisElem(0, (a, b)))
-        for a, c in sorted(found[w1]):
-            if a != 1:
+        out = [(BasisElem(0, t), t) for t in sorted(found[w0])]
+        for t in sorted(found[w1]):
+            if t[0] != 1:
                 raise AssertionError("w1 candidate with nontrivial first torus")
-            out.append(BasisElem(1, (c,)))
-        for d, b in sorted(found[w2]):
-            if b != 1:
+            out.append((BasisElem(1, t[1:]), t))
+        for t in sorted(found[w2]):
+            if t[1] != 1:
                 raise AssertionError("w2 candidate with nontrivial second torus")
-            out.append(BasisElem(2, (d,)))
+            out.append((BasisElem(2, t[:1]), t))
         if found[w3] != [(1, 1)]:
             raise AssertionError("unit candidate with nontrivial torus")
-        out.append(BasisElem(3))
+        out.append((BasisElem(3), (1, 1)))
         if len(out) != F.q * F.q:
             raise AssertionError("basis size is not q^2")
-        return tuple(out)
+        return out
 
     # -- basis points ----------------------------------------------------------
 
@@ -185,16 +197,7 @@ class HeckeAlgebra:
 
     def point(self, b: BasisElem) -> tuple:
         """(Weyl element, torus character pair) of the basis point."""
-        self._check(b)
-        if b.kind == 0:
-            t = (b.params[0], b.params[1])
-        elif b.kind == 1:
-            t = (1, b.params[0])
-        elif b.kind == 2:
-            t = (b.params[0], 1)
-        else:
-            t = (1, 1)
-        return self._bw[b.kind], t
+        return self._bw[b.kind], self._tor[b][1]
 
     def group_elem(self, b: BasisElem) -> GroupElem:
         w, t = self.point(b)
@@ -207,13 +210,6 @@ class HeckeAlgebra:
         return BasisElem(3)
 
     # -- structure constants -----------------------------------------------------
-
-    def _chars(self, t: tuple) -> tuple:
-        """chi_t at every root index (slot 0 unused), filled once per pair."""
-        if t not in self._chi:
-            G = self.G
-            self._chi[t] = (0,) + tuple(G.chi_at(t, i) for i in range(1, 2 * G.N + 1))
-        return self._chi[t]
 
     def rep_buckets(self, kinds: tuple) -> tuple:
         """Rep table of a kind pattern as plain tuples, one ((t_zero, t_mu),
@@ -234,50 +230,51 @@ class HeckeAlgebra:
             buckets = self.rep_buckets(kinds)
         F, W = self.F, self.W
         x, y, z = (self._bw[k] for k in kinds)
-        # route: character pair (cz1, cz2) of k -> (k, trace rows of wz1, wz2)
+        # route: character pair (cz1, cz2) of k -> (index of k, trace rows of wz1, wz2)
         zinv = W.inv(z)
         zinv_x = W.mult(zinv, x)
         pz1, pz2 = W.act(zinv_x, 1), W.act(zinv_x, 2)
         wz1, wz2 = W.act(zinv, 1), W.act(zinv, 2)
         route, one = {}, {}
-        for k in self.basis:
+        for k, (n, _, chi) in self._tor.items():
             if k.kind == kinds[2]:
-                chi = self._chars(self.point(k)[1])
                 cz = (F.inv(chi[pz1]), F.inv(chi[pz2]))
-                hop = (k, self._tr[chi[wz1]], self._tr[chi[wz2]])
+                hop = (n, self._tr[chi[wz1]], self._tr[chi[wz2]])
                 route.setdefault(cz, []).append(hop)
-                one[k] = {cz: [hop]}
-        tbl = {
-            "buckets": buckets,
-            "py": (W.act(W.inv(y), 1), W.act(W.inv(y), 2)),
-            "route": route,
-            "one": one,
-        }
-        self._reptables[kinds] = tbl
+                one[n] = {cz: [hop]}
+        # ratio t_mu / t0 -> its buckets (t0, entries collapsed to (*entry, count))
+        index = {}
+        for (t0, tmu), entries in buckets:
+            r = (F.div(tmu[0], t0[0]), F.div(tmu[1], t0[1]))
+            index.setdefault(r, []).append((t0, [(*e, m) for e, m in Counter(entries).items()]))
+        py = (W.act(W.inv(y), 1), W.act(W.inv(y), 2))
+        tbl = self._reptables[kinds] = {"index": index, "py": py, "route": route, "one": one}
         return tbl
 
-    def _sweep(self, i: BasisElem, j: BasisElem, kind: int, route: dict) -> dict:
-        """Zeta counts of S_ij^k for the k in route, one walk over the buckets:
-        bucket (t0, tmu) serves the k whose character pair cz solves the
-        forced-torus equation tmu = tx * t0 * cz * cy, componentwise."""
+    def _sweep(self, tbl: dict, tx: tuple, chi_y: tuple, route: dict) -> dict:
+        """Zeta counts of S_ij^k by basis index of k, for the k in route.  Bucket
+        (t0, tmu) serves the k whose pair cz solves tmu/t0 = cz*tx*cy componentwise;
+        each key of the smaller side, route or ratio index, is looked up in the other."""
         F = self.F
-        p, mul, div = F.p, F.mul, F.div
-        tbl = self._reps((i.kind, j.kind, kind))
-        tx = self.point(i)[1]
-        chi_y = self._chars(self.point(j)[1])
+        p, mul, tr = F.p, F.mul, self._tr
         cy1, cy2 = chi_y[tbl["py"][0]], chi_y[tbl["py"][1]]
         xy1, xy2 = mul(tx[0], cy1), mul(tx[1], cy2)
+        index = tbl["index"]
+        if len(route) <= len(index):
+            hits = [(hops, bs) for (c1, c2), hops in route.items()
+                    if (bs := index.get((mul(c1, xy1), mul(c2, xy2))))]
+        else:
+            ixy1, ixy2 = F.inv(xy1), F.inv(xy2)
+            hits = [(hops, bs) for (r1, r2), bs in index.items()
+                    if (hops := route.get((mul(r1, ixy1), mul(r2, ixy2))))]
         out = {}
-        for (t0, tmu), entries in tbl["buckets"]:
-            need = (div(tmu[0], mul(xy1, t0[0])), div(tmu[1], mul(xy2, t0[1])))
-            hops = route.get(need)
-            if hops is None:
-                continue
-            wy1, wy2 = self._tr[mul(t0[0], cy1)], self._tr[mul(t0[1], cy2)]
-            for k, wz1, wz2 in hops:
-                counts = out.setdefault(k, [0] * p)
-                for dv, du1, du2, dw1, dw2 in entries:
-                    counts[(dv - wz1[du1] - wz2[du2] - wy1[dw1] - wy2[dw2]) % p] += 1
+        for hops, buckets in hits:
+            for t0, entries in buckets:
+                wy1, wy2 = tr[mul(t0[0], cy1)], tr[mul(t0[1], cy2)]
+                for n, wz1, wz2 in hops:
+                    counts = out.setdefault(n, [0] * p)
+                    for dv, du1, du2, dw1, dw2, m in entries:
+                        counts[(dv - wz1[du1] - wz2[du2] - wy1[dw1] - wy2[dw2]) % p] += m
         return out
 
     def structure_constant(
@@ -285,11 +282,11 @@ class HeckeAlgebra:
     ) -> CycloNum:
         """Coefficient of e_k in e_i e_j: sum of phi(Dv - Du - Du')."""
         F, G = self.F, self.G
-        x, tx = self.point(i)
-        y, ty = self.point(j)
-        z, tz = self.point(k)
-        counts = [0] * F.p
         if method == "direct":
+            x, tx = self.point(i)
+            y, ty = self.point(j)
+            z, tz = self.point(k)
+            counts = [0] * F.p
             for r in intersect(x, tx, y, ty, z, tz, group=G):
                 arg = F.sub(
                     F.add(r.head_z[0], r.head_z[1]),
@@ -302,18 +299,19 @@ class HeckeAlgebra:
             return CycloNum.from_zeta_counts(F.p, counts)
         if method != "fast":
             raise ValueError("method must be 'fast' or 'direct'")
-        route = self._reps((i.kind, j.kind, k.kind))["one"][k]
-        counts = self._sweep(i, j, k.kind, route).get(k, counts)
+        (_, tx, _), (_, _, chi_y), (n, _, _) = self._tor[i], self._tor[j], self._tor[k]
+        tbl = self._reps((i.kind, j.kind, k.kind))
+        counts = self._sweep(tbl, tx, chi_y, tbl["one"][n]).get(n, [0] * F.p)
         return CycloNum.from_zeta_counts(F.p, counts)
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
-        """e_i e_j: one walk over the buckets of each kind pattern."""
-        p = self.F.p
-        out = {}
+        """e_i e_j: one sweep of each of its four kind patterns."""
+        (_, tx, _), (_, _, chi_y) = self._tor[i], self._tor[j]
+        p, basis, out = self.F.p, self.basis, {}
         for kind in range(4):
-            route = self._reps((i.kind, j.kind, kind))["route"]
-            for k, counts in self._sweep(i, j, kind, route).items():
-                out[k] = CycloNum.from_zeta_counts(p, counts)
+            tbl = self._reps((i.kind, j.kind, kind))
+            for n, counts in self._sweep(tbl, tx, chi_y, tbl["route"]).items():
+                out[basis[n]] = CycloNum.from_zeta_counts(p, counts)
         return HeckeVec(out)
 
     # -- closed forms ------------------------------------------------------------

@@ -93,24 +93,41 @@ def test_records_follow_the_string_order_of_points(capsys):
 
 
 class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size and chunk sizes,
-    starts nothing."""
+    """Stands in for multiprocessing.Pool: records its size, chunk sizes and
+    the most results it held that were not yet taken, starts nothing."""
 
     sizes = []
     chunksizes = []
+    peaks = []
 
     def __init__(self, size):
         self.sizes.append(size)
+        self.due = self.peak = 0
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.peaks.append(self.peak)
         return False
 
     def map(self, fn, items, chunksize=None):
         self.chunksizes.append(chunksize)
         return [fn(it) for it in items]
+
+    def apply_async(self, fn, args):
+        self.due += 1
+        self.peak = max(self.peak, self.due)
+        return _Taken(self, fn(*args))
+
+
+class _Taken:
+    def __init__(self, pool, value):
+        self.pool, self.value = pool, value
+
+    def get(self):
+        self.pool.due -= 1
+        return self.value
 
 
 @pytest.mark.parametrize("cpus,want", [(3, 3), (None, None), (10**6, 64)])
@@ -158,6 +175,24 @@ def test_selections_match_full_table(monkeypatch, capsys, tag, jobs):
     ]:
         assert records(jobs, *flags) == [r for r in full if keep(r)], flags
     assert _InlinePool.sizes == ([2] * 4 if jobs == "2" else [])
+
+
+def test_verify_tables_keeps_a_window_of_rows(monkeypatch, tmp_path):
+    # the 9 rows of A2/F_3 go to a pool of 2 with at most 4 closed-form rows
+    # handed out and not yet taken, and the report is that of --jobs 1
+    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
+    monkeypatch.setattr(_InlinePool, "peaks", [])
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify-tables", "--type", "A2", "--q", "3"]
+    assert run_cli(argv + ["--out", str(a)]) == 0
+    assert run_cli(argv + ["--jobs", "2", "--out", str(b)]) == 0
+    assert _InlinePool.sizes == [2]
+    assert _InlinePool.peaks == [4]
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(b.read_text())["checked"] == 9**3
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -81,6 +81,20 @@ def test_structure_constant_rejects_bad_method():
         H.structure_constant(b, b, b, method="bogus")
 
 
+@pytest.mark.parametrize("bad", [BasisElem(1, (0,)), BasisElem(2, (5,)), BasisElem(0, (1, 7))])
+def test_bad_parameters_raise_value_error(bad):
+    # a parameter outside F_5^x, in any position, is a ValueError on every path
+    H = hecke_algebra("B2", make_field(5))
+    b = BasisElem(1, (2,))
+    for method in ("fast", "direct", "bogus"):
+        for args in ((bad, b, b), (b, bad, b), (b, b, bad)):
+            with pytest.raises(ValueError):
+                H.structure_constant(*args, method=method)
+    for args in ((bad, b), (b, bad)):
+        with pytest.raises(ValueError):
+            H.multiply(*args)
+
+
 def test_known_value_at_q3():
     # e_1(1) e_1(1) has coefficient 3 on e_2(2), and that is the only
     # (c1, c2, d) giving 3 together with its inverse pair
@@ -119,12 +133,40 @@ def test_multiply_agrees_with_direct(tag, q):
         assert H.multiply(i, j) == want, (i, j)
 
 
-def test_single_constant_agrees_with_multiply():
-    H = hecke_algebra("A2", make_field(5))
-    for i, j in itertools.product(H.basis, repeat=2):
-        prod = H.multiply(i, j)
-        for k in H.basis:
-            assert H.structure_constant(i, j, k) == prod.get(k, 5), (i, j, k)
+class _Lookups(dict):
+    """A dict that notes the walk direction it serves whenever it is read."""
+
+    def __init__(self, items, walk, seen):
+        super().__init__(items)
+        self.walk, self.seen = walk, seen
+
+    def get(self, key, default=None):
+        self.seen.add(self.walk)
+        return super().get(key, default)
+
+
+def test_single_constant_agrees_with_multiply(monkeypatch):
+    # the sweep looks the route keys up in the ratio index, or the ratios up
+    # in the route, whichever side is smaller: both must come up somewhere
+    walks = set()
+    for tag, pf in [("A2", (5,)), ("B2", (5,)), ("A2", (2, 2))]:
+        H = hecke_algebra(tag, make_field(*pf))
+        tables = {}
+        for kinds in itertools.product(range(4), repeat=3):
+            tbl = H._reps(kinds)
+            tables[kinds] = {
+                **tbl,
+                "index": _Lookups(tbl["index"], "route keys", walks),
+                "route": _Lookups(tbl["route"], "ratios", walks),
+                "one": {n: _Lookups(r, "ratios", walks) for n, r in tbl["one"].items()},
+            }
+        monkeypatch.setattr(H, "_reptables", tables)
+        p = H.F.p
+        for i, j in itertools.product(H.basis, repeat=2):
+            prod = H.multiply(i, j)
+            for k in H.basis:
+                assert H.structure_constant(i, j, k) == prod.get(k, p), (tag, pf, i, j, k)
+    assert walks == {"route keys", "ratios"}
 
 
 @pytest.mark.parametrize("tag,q", [("A2", (2, 2)), ("B2", (5,))])
@@ -132,11 +174,14 @@ def test_character_table_matches_group(tag, q):
     F = make_field(*q)
     H = hecke_algebra(tag, F)
     G = H.G
-    for t in itertools.product(F.units(), repeat=2):
-        row = H._chars(t)
+    pairs = set()
+    for b, (n, t, row) in H._tor.items():
+        assert H.basis[n] == b and H.point(b) == (H.W.basis_elements()[b.kind], t)
         assert len(row) == 2 * G.N + 1
         for idx in range(1, 2 * G.N + 1):
             assert row[idx] == G.chi_at(t, idx), (t, idx)
+        pairs.add(t)
+    assert pairs == set(itertools.product(F.units(), repeat=2))
 
 
 @pytest.mark.parametrize("tag", ["A2", "B2"])

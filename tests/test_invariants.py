@@ -46,6 +46,7 @@ def _iwahori_hecke(W, q: int, x, y) -> dict:
 )
 def test_rep_table_sizes_are_iwahori_hecke_constants(tag, pf):
     F = make_field(*pf)
+    H = hecke_algebra(tag, F)
     W = weyl_group(tag)
     bw = W.basis_elements()
     for kinds in product(range(4), repeat=3):
@@ -53,7 +54,12 @@ def test_rep_table_sizes_are_iwahori_hecke_constants(tag, pf):
         # the buckets exactly as a pool worker sends them back
         buckets = cli._rep_buckets((tag, F.to_dict(), kinds))
         got = sum(len(entries) for _, entries in buckets)
-        assert got == _iwahori_hecke(W, F.q, x, y).get(z, 0), kinds
+        want = _iwahori_hecke(W, F.q, x, y).get(z, 0)
+        assert got == want, kinds
+        # the installed ratio index, built from such buckets: equal entries of
+        # a bucket collapse into one with a count, and the counts lose no entry
+        index = H._reps(kinds, buckets)["index"]
+        assert sum(e[-1] for bs in index.values() for _, entries in bs for e in entries) == want, kinds
 
 
 def _is_prime_power(q: int) -> bool:
