@@ -326,14 +326,18 @@ class Group:
     def identity(self) -> GroupElem:
         return self._id
 
-    def normal_form(self, word) -> GroupElem:
-        st = [[0] * self.N, [1, 1], self.W.identity, [0] * self.N]
+    def normal_form(self, word, start: GroupElem | None = None) -> GroupElem:
+        """start * word in normal form; start defaults to the identity."""
+        g = self._id if start is None else start
+        self._check(g)
+        st = [list(g.u), list(g.t), g.w, list(g.u2)]
         for atom in word:
             self._absorb(st, atom)
         return GroupElem(self, st[0], st[1], st[2], st[3])
 
     def expansion(self, g: GroupElem):
         """A generator word multiplying back to g."""
+        self._check(g)
         atoms = [("u", i + 1, c) for i, c in enumerate(g.u) if c]
         if g.t != (1, 1):
             atoms.append(("T", g.t[0], g.t[1]))
@@ -342,24 +346,16 @@ class Group:
         return atoms
 
     def multiply(self, g: GroupElem, *hs: GroupElem) -> GroupElem:
-        self._check(g)
-        st = [list(g.u), list(g.t), g.w, list(g.u2)]
-        for h in hs:
-            self._check(h)
-            for atom in self.expansion(h):
-                self._absorb(st, atom)
-        return GroupElem(self, st[0], st[1], st[2], st[3])
+        return self.normal_form([a for h in hs for a in self.expansion(h)], start=g)
 
     def invert(self, g: GroupElem) -> GroupElem:
         F = self.F
         atoms = []
-        for atom in reversed(self.expansion(g)):
-            if atom[0] == "u":
-                atoms.append(("u", atom[1], F.neg(atom[2])))
-            elif atom[0] == "n":
-                atoms.append(("n", atom[1], F.neg(atom[2])))
-            else:
-                atoms.append(("T", F.inv(atom[1]), F.inv(atom[2])))
+        for kind, a, b in reversed(self.expansion(g)):
+            if kind == "T":
+                atoms.append(("T", F.inv(a), F.inv(b)))
+            else:  # u_i(c)^-1 = u_i(-c) and n_i(c)^-1 = n_i(-c)
+                atoms.append((kind, a, F.neg(b)))
         return self.normal_form(atoms)
 
     def _check(self, g: GroupElem):

@@ -44,6 +44,11 @@ class BasisElem:
         object.__setattr__(self, "params", tuple(self.params))
         if len(self.params) != _ARITY[self.kind]:
             raise ValueError("wrong parameter count for kind")
+        # every dict keyed by basis points hashes its keys: hash once
+        object.__setattr__(self, "_hash", hash((self.kind, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"e{self.kind}({','.join(str(p) for p in self.params)})"

@@ -18,11 +18,11 @@ form, the U x U shape, we read off the unipotent head/tail and the torus
 t_mu; translating by lift(z)^{-1} exposes the z-side head/tail and the
 involutive correction torus t_0.  The toral condition then selects, for
 given (t_x, t_y, t_z), which (j, mu) land in the intersection.
-rep_entries, which fills the fast path's rep tables, rewrites D_j(mu)
-once.  build_rep, behind intersect() and the tests, rewrites it twice
-(once with the B-position factors expressed through positive root
-elements) to cross-check the relation tables, and multiplies both
-factorized shapes back.
+rep_entries, which fills the fast path's rep tables, extends shared
+prefixes of D_j(mu) by one letter at a time.  build_rep, behind
+intersect() and the tests, rewrites each word twice (once with the
+B-position factors through positive root elements) to cross-check the
+relation tables, and multiplies both factorized shapes back.
 """
 
 from dataclasses import dataclass, replace
@@ -207,24 +207,19 @@ def _lift_inverse(G: Group, w: WeylElem) -> GroupElem:
     return G.invert(G.lift(w))
 
 
-def _derive(G: Group, sub: Subexpr, values: tuple) -> tuple:
-    """(g, t_mu, h, t_zero): D_j(mu) in normal form g, its torus t_mu, the
-    z-side normal form h = n_z^{-1} g and the correction torus t_zero, each
-    checked to lie where the parametrization puts it."""
+def _letter(G: Group, i: int, c: str, m: int) -> tuple:
+    """The atoms of letter i of D_j(mu): u_{-i}(m) at B, u_i(m) n_i at A, n_i at C."""
+    if c == "B":
+        return (("u", i + G.N, m),)
+    return (("u", i, m), ("n", i, 1)) if c == "A" else (("n", i, 1),)
+
+
+def _checked(G: Group, sub: Subexpr, g: GroupElem, h: GroupElem) -> tuple:
+    """(t_mu, t_zero) of g = D_j(mu) and h = n_z^{-1} g, each checked to lie
+    where the parametrization puts it."""
     F, W = G.F, G.W
-    atoms = []
-    for i, c, m in zip(sub.x.word, sub.types, values):
-        if c == "B":
-            atoms.append(("u", i + G.N, m))
-            continue
-        if c == "A":
-            atoms.append(("u", i, m))
-        atoms.append(("n", i, 1))
-    g = G.normal_form(atoms)
     if g.w != sub.x:
         raise AssertionError("representative left the U x U cell")
-    t_mu = (G.chi_at(g.t, W.act(sub.x, 1)), G.chi_at(g.t, W.act(sub.x, 2)))
-    h = G.multiply(_lift_inverse(G, sub.z), g)
     yinv = W.inv(sub.y)
     if h.w != yinv:
         raise AssertionError("representative left the z U y^{-1} U cell")
@@ -234,22 +229,40 @@ def _derive(G: Group, sub: Subexpr, values: tuple) -> tuple:
     t_zero = t0e.t
     if F.mul(t_zero[0], t_zero[0]) != 1 or F.mul(t_zero[1], t_zero[1]) != 1:
         raise AssertionError("correction torus is not an involution")
-    return g, t_mu, h, t_zero
+    return (G.chi_at(g.t, W.act(sub.x, 1)), G.chi_at(g.t, W.act(sub.x, 2))), t_zero
+
+
+def _derive(G: Group, sub: Subexpr, values: tuple) -> tuple:
+    """(g, h, t_mu, t_zero): g = D_j(mu) from its whole word, h = n_z^{-1} g."""
+    word = zip(sub.x.word, sub.types, values)
+    g = G.normal_form([a for i, c, m in word for a in _letter(G, i, c, m)])
+    h = G.multiply(_lift_inverse(G, sub.z), g)
+    return (g, h) + _checked(G, sub, g, h)
 
 
 def rep_entries(sub: Subexpr, field: Field):
-    """(t_zero, t_mu, entry) for every mu of sub, in mu_assignments order:
-    one normal form per representative, no CosetRep and no cache.  The
-    entry is (Tr(head_z[0] + head_z[1]), head_x[0], head_x[1], and
-    tail_x - tail_z on the two simple roots)."""
+    """(t_zero, t_mu, entry) for every mu of sub, in mu_assignments order.
+    A depth-first walk extends the normal forms of a prefix p of D_j(mu)
+    and of n_z^{-1} p by one letter per node; at a leaf they are _derive's
+    g and h, since normal forms are unique.  The entry is (Tr(head_z[0] +
+    head_z[1]), head_x[0], head_x[1], tail_x - tail_z on the simple roots)."""
     G = chevalley_group(sub.tag, field)
     F = field
-    for values in product(*_domains(sub.types, F)):
-        g, t_mu, h, t_zero = _derive(G, sub, values)
+    word = zip(sub.x.word, sub.types, _domains(sub.types, F))
+    letters = [[_letter(G, i, c, m) for m in dom] for i, c, dom in word]
+
+    def walk(k, g, h):
+        if k < len(letters):
+            for atoms in letters[k]:
+                yield from walk(k + 1, G.normal_form(atoms, g), G.normal_form(atoms, h))
+            return
+        t_mu, t_zero = _checked(G, sub, g, h)
         # delta_coords is a homomorphism U -> F_q^2, so the simple-root
         # coordinates of tail_x * tail_z^{-1} are differences
         dv = F.trace(F.add(h.u[0], h.u[1]))
         yield t_zero, t_mu, (dv, g.u[0], g.u[1], F.sub(g.u2[0], h.u2[0]), F.sub(g.u2[1], h.u2[1]))
+
+    yield from walk(0, G.identity(), _lift_inverse(G, sub.z))
 
 
 @lru_cache(maxsize=None)
@@ -258,17 +271,15 @@ def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
     _validate_mu(sub, mu)
     G = chevalley_group(sub.tag, mu.field)
     F = G.F
-    g, t_mu, h, t_zero = _derive(G, sub, mu.values)
+    g, h, t_mu, t_zero = _derive(G, sub, mu.values)
     # D_j(mu) again, each u_{-i}(m) written as u_i(1/m) n_i(-1/m) u_i(1/m)
     dp_atoms = []
     for i, c, m in zip(sub.x.word, sub.types, mu.values):
         if c == "B":
             r = F.inv(m)
             dp_atoms += [("u", i, r), ("n", i, F.neg(r)), ("u", i, r)]
-        elif c == "A":
-            dp_atoms += [("u", i, m), ("n", i, 1)]
         else:
-            dp_atoms.append(("n", i, 1))
+            dp_atoms += _letter(G, i, c, m)
     if g != G.normal_form(dp_atoms):
         raise AssertionError("the two factor shapes disagree: relation tables broken")
     uxu = (G.unipotent(g.u), _lift_torus(G, sub.x, t_mu), G.unipotent(g.u2))
@@ -332,13 +343,8 @@ def left_coset_key(g: GroupElem) -> tuple:
     keep = G.inv_set(G.W.inv(g.w))
     u = G.unipotent(g.u)
     for idx in range(1, G.N + 1):
-        if idx in keep:
-            continue
-        c = u.u[idx - 1]
-        if c:
-            coords = [0] * G.N
-            coords[idx - 1] = G.F.neg(c)
-            u = G.multiply(u, G.unipotent(coords))
+        if idx not in keep and u.u[idx - 1]:
+            u = G.normal_form([("u", idx, G.F.neg(u.u[idx - 1]))], start=u)
     return (g.t, g.w.perm, u.u)
 
 

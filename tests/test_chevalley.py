@@ -165,6 +165,8 @@ def test_foreign_element_rejected():
     with pytest.raises(ValueError):
         G2.multiply(G2.identity(), G3.identity())
     with pytest.raises(ValueError):
+        G2.normal_form([], start=G3.identity())
+    with pytest.raises(ValueError):
         G2.unipotent((0, 0))
 
 
@@ -317,6 +319,26 @@ def test_normal_form_matches_adjoint(tag, fq, count):
     for word in _random_words(G, count, seed=13):
         g = G.normal_form(word)
         assert word_mat(word) == word_mat(G.expansion(g))
+
+
+@pytest.mark.parametrize("tag,fq", [("A2", (2, 2)), ("B2", (5,))], ids=["A2-4", "B2-5"])
+def test_normal_form_from_start(tag, fq):
+    # normal_form(word, start=g) is g * word: against multiply, against the
+    # word expansion(g) + word from the identity, and in the adjoint
+    # representation; g itself is left unchanged
+    F = make_field(*fq)
+    G = chevalley_group(tag, F)
+    word_mat = _adjoint_word_mat(tag, F)
+    words = _random_words(G, 40, seed=17)
+    for s, word in zip(words, words[7:] + words[:7]):
+        g = G.normal_form(s)
+        key = g.key()
+        got = G.normal_form(word, start=g)
+        assert got == G.multiply(g, G.normal_form(word))
+        assert got == G.normal_form(G.expansion(g) + word)
+        assert word_mat(G.expansion(got)) == word_mat(s + word)
+        assert g.key() == key
+    assert G.normal_form(words[0], start=G.identity()) == G.normal_form(words[0])
 
 
 def test_adjoint_is_faithful_a2_q2():

@@ -19,6 +19,23 @@ def test_basis_elem_validation():
     assert repr(BasisElem(0, (1, 2))) == "e0(1,2)"
 
 
+def test_basis_elem_hash_and_equality():
+    a, b = BasisElem(0, (1, 2)), BasisElem(0, [1, 2])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != (0, (1, 2)) and a != BasisElem(0, (2, 1))
+    assert len({a, b, BasisElem(3)}) == 2
+    with pytest.raises(AttributeError):
+        a.kind = 1
+    # lookups with fresh, equal keys
+    H = hecke_algebra("A2", make_field(3))
+    for i, e in enumerate(H.basis):
+        assert H._tor[BasisElem(e.kind, e.params)][0] == i
+    p = 3
+    v = HeckeVec({e: CycloNum.from_int(p, 1) for e in H.basis[:2]})
+    fresh = [BasisElem(e.kind, e.params) for e in H.basis[:3]]
+    assert [v.get(e, p) for e in fresh] == [CycloNum.from_int(p, k) for k in (1, 1, 0)]
+
+
 @pytest.mark.parametrize("tag,q", [("A2", 2), ("A2", 3), ("A2", 5), ("B2", 3), ("B2", 5)])
 def test_basis_shape(tag, q):
     H = hecke_algebra(tag, make_field(q))
