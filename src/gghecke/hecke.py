@@ -341,36 +341,16 @@ class HeckeAlgebra:
         return fn(kinds, i.params, j.params, k.params)
 
     def _unit_column(self, i: BasisElem, j: BasisElem) -> CycloNum:
-        """Coefficient of the unit: the q^l(w) delta entries."""
-        F = self.F
-        p, q = F.p, F.q
-        zero = self._zero
-        kinds = (i.kind, j.kind)
+        """Coefficient of the unit: q^l(w) where e_j is the inverse of e_i."""
+        F, s, t = self.F, i.params, j.params
+        opp = s[0] == F.neg(t[0])
+        # kinds of i and j -> (whether e_j inverts e_i, l(w))
         if self.tag == "A2":
-            if kinds == (0, 0):
-                a1, b1 = i.params
-                a2, b2 = j.params
-                ok = a1 == b2 and a2 == b1
-                return CycloNum.from_int(p, q**3) if ok else zero
-            if kinds == (1, 2):
-                ok = i.params[0] == F.neg(j.params[0])
-                return CycloNum.from_int(p, q**2) if ok else zero
-            if kinds == (2, 1):
-                ok = j.params[0] == F.neg(i.params[0])
-                return CycloNum.from_int(p, q**2) if ok else zero
-            return zero
-        if kinds == (0, 0):
-            a1, b1 = i.params
-            a2, b2 = j.params
-            ok = a1 == a2 and b1 == b2
-            return CycloNum.from_int(p, q**4) if ok else zero
-        if kinds == (1, 1):
-            ok = i.params[0] == j.params[0]
-            return CycloNum.from_int(p, q**3) if ok else zero
-        if kinds == (2, 2):
-            ok = i.params[0] == F.neg(j.params[0])
-            return CycloNum.from_int(p, q**3) if ok else zero
-        return zero
+            cases = {(0, 0): (s == t[::-1], 3), (1, 2): (opp, 2), (2, 1): (opp, 2)}
+        else:
+            cases = {(0, 0): (s == t, 4), (1, 1): (s == t, 3), (2, 2): (opp, 3)}
+        ok, length = cases.get((i.kind, j.kind), (False, 0))
+        return CycloNum.from_int(F.p, F.q**length) if ok else self._zero
 
     def _f_a2(self, kinds, s1, s2, s3) -> CycloNum:
         F = self.F

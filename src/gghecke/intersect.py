@@ -19,15 +19,17 @@ t_mu; translating by lift(z)^{-1} exposes the z-side head/tail and the
 involutive correction torus t_0.  The toral condition then selects, for
 given (t_x, t_y, t_z), which (j, mu) land in the intersection.
 rep_entries, which fills the fast path's rep tables, extends shared
-prefixes of D_j(mu) by one letter at a time.  build_rep, behind
-intersect() and the tests, rewrites each word twice (once with the
-B-position factors through positive root elements) to cross-check the
-relation tables, and multiplies both factorized shapes back.
+prefixes of D_j(mu) by one letter at a time and derives most first
+parameters from parameter 1 by torus sandwiches, checking every leaf.
+build_rep, behind intersect() and the tests, rewrites each word twice
+(once with the B-position factors through positive root elements) to
+cross-check the relation tables, and multiplies both factorized shapes
+back.
 """
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
+from itertools import product, starmap
 
 from .chevalley import Group, GroupElem, chevalley_group
 from .gf import Field
@@ -232,37 +234,84 @@ def _checked(G: Group, sub: Subexpr, g: GroupElem, h: GroupElem) -> tuple:
     return (G.chi_at(g.t, W.act(sub.x, 1)), G.chi_at(g.t, W.act(sub.x, 2))), t_zero
 
 
-def _derive(G: Group, sub: Subexpr, values: tuple) -> tuple:
-    """(g, h, t_mu, t_zero): g = D_j(mu) from its whole word, h = n_z^{-1} g."""
-    word = zip(sub.x.word, sub.types, values)
-    g = G.normal_form([a for i, c, m in word for a in _letter(G, i, c, m)])
-    h = G.multiply(_lift_inverse(G, sub.z), g)
-    return (g, h) + _checked(G, sub, g, h)
+def _sandwich(G: Group, a: tuple, w: WeylElem, b: tuple):
+    """g -> a g b in normal form for g in the cell of w, tori a, b as character
+    pairs: a u t n_w u' b = (a u a^-1) (a t w(b)) n_w (b^-1 u' b) scales the
+    coordinates of u by chi_a, of u' by 1 / chi_b and t by a w(b)."""
+    mul, W, N = G.F.mul, G.W, G.N
+    ra = [G.chi_at(a, k) for k in range(1, N + 1)]
+    rb = [G.chi_at(b, k + N) for k in range(1, N + 1)]
+    t = [mul(a[j], G.chi_at(b, W.act(W.inv(w), j + 1))) for j in (0, 1)]
+    return lambda g: GroupElem(
+        G, list(map(mul, g.u, ra)), tuple(map(mul, g.t, t)), w, list(map(mul, g.u2, rb)))
+
+
+def _rescaled(G: Group, sub: Subexpr, doms: list, m: int, unit: dict):
+    """The leaf pairs (g, h) of first parameter m from unit, those of 1 keyed by
+    the later parameters.  h_m, with chi(alpha_i) = m at an A letter i, 1/m at
+    a B letter and 1 at the other simple root, gives h_m u_i(1) n_i = u_i(m)
+    n_i s_i(h_m) and h_m u_{-i}(1) = u_{-i}(m) h_m.  Pushed on (Carter, Simple
+    Groups of Lie Type) by h u_{-k}(c) = u_{-k}(chi_h(-alpha_k) c) h, h u_k(c)
+    n_k = u_k(chi_h(alpha_k) c) n_k s_k(h) and h n_k = n_k s_k(h), it scales
+    each parameter and ends as h_end: D_j(m, nu) = h_m D_j(1, nu / scales)
+    h_end^-1, and n_z^-1 h_m = z^-1(h_m) n_z^-1."""
+    F, W, N = G.F, G.W, G.N
+    r = m if sub.types[0] == "A" else F.inv(m)
+    h_m = h = (r, 1) if sub.x.word[0] == 1 else (1, r)
+    src = []
+    for k, (i, c, dom) in enumerate(zip(sub.x.word, sub.types, doms)):
+        scale = G.chi_at(h, i + N if c == "B" else i)
+        if k:
+            src.append(dom if c == "C" else [F.div(v, scale) for v in dom])
+        if c != "B":
+            h = tuple(G.chi_at(h, W.act(W.simple(i), j)) for j in (1, 2))
+    end = (F.inv(h[0]), F.inv(h[1]))
+    zh = tuple(G.chi_at(h_m, W.act(sub.z, j)) for j in (1, 2))
+    to_g, to_h = _sandwich(G, h_m, sub.x, end), _sandwich(G, zh, W.inv(sub.y), end)
+    return ((to_g(g), to_h(h)) for g, h in map(unit.__getitem__, product(*src)))
 
 
 def rep_entries(sub: Subexpr, field: Field):
     """(t_zero, t_mu, entry) for every mu of sub, in mu_assignments order.
     A depth-first walk extends the normal forms of a prefix p of D_j(mu)
-    and of n_z^{-1} p by one letter per node; at a leaf they are _derive's
-    g and h, since normal forms are unique.  The entry is (Tr(head_z[0] +
-    head_z[1]), head_x[0], head_x[1], tail_x - tail_z on the simple roots)."""
+    and of n_z^{-1} p by one letter per node; at a leaf they are build_rep's
+    g and h, since normal forms are unique.  Under a first letter A or B it
+    walks first parameters 0 and 1 only, and _rescaled derives the others;
+    every leaf passes _checked.  The entry is (Tr(head_z[0] + head_z[1]),
+    head_x[0], head_x[1], tail_x - tail_z on the simple roots)."""
     G = chevalley_group(sub.tag, field)
     F = field
-    word = zip(sub.x.word, sub.types, _domains(sub.types, F))
+    doms = _domains(sub.types, F)
+    word = zip(sub.x.word, sub.types, doms)
     letters = [[_letter(G, i, c, m) for m in dom] for i, c, dom in word]
 
     def walk(k, g, h):
         if k < len(letters):
             for atoms in letters[k]:
                 yield from walk(k + 1, G.normal_form(atoms, g), G.normal_form(atoms, h))
-            return
+        else:
+            yield g, h
+
+    def leaf(g, h):
         t_mu, t_zero = _checked(G, sub, g, h)
         # delta_coords is a homomorphism U -> F_q^2, so the simple-root
         # coordinates of tail_x * tail_z^{-1} are differences
         dv = F.trace(F.add(h.u[0], h.u[1]))
-        yield t_zero, t_mu, (dv, g.u[0], g.u[1], F.sub(g.u2[0], h.u2[0]), F.sub(g.u2[1], h.u2[1]))
+        return t_zero, t_mu, (dv, g.u[0], g.u[1], F.sub(g.u2[0], h.u2[0]), F.sub(g.u2[1], h.u2[1]))
 
-    yield from walk(0, G.identity(), _lift_inverse(G, sub.z))
+    root = (G.identity(), _lift_inverse(G, sub.z))
+    if sub.types[:1] not in ("A", "B"):
+        yield from starmap(leaf, walk(0, *root))
+        return
+    for m, atoms in zip(doms[0], letters[0]):
+        if m > 1:  # domains count up from 0, so unit holds the leaves of 1 by now
+            pairs = _rescaled(G, sub, doms, m, unit)
+        else:
+            pairs = walk(1, *(G.normal_form(atoms, e) for e in root))
+            if m == 1:
+                unit = dict(zip(product(*doms[1:]), pairs))
+                pairs = unit.values()
+        yield from starmap(leaf, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +320,10 @@ def build_rep(sub: Subexpr, mu: MuAssignment) -> CosetRep:
     _validate_mu(sub, mu)
     G = chevalley_group(sub.tag, mu.field)
     F = G.F
-    g, h, t_mu, t_zero = _derive(G, sub, mu.values)
+    word = zip(sub.x.word, sub.types, mu.values)
+    g = G.normal_form([a for i, c, m in word for a in _letter(G, i, c, m)])
+    h = G.multiply(_lift_inverse(G, sub.z), g)
+    t_mu, t_zero = _checked(G, sub, g, h)
     # D_j(mu) again, each u_{-i}(m) written as u_i(1/m) n_i(-1/m) u_i(1/m)
     dp_atoms = []
     for i, c, m in zip(sub.x.word, sub.types, mu.values):
@@ -304,9 +356,7 @@ def intersect(x, t_x, y, t_y, z, t_z, group: Group) -> list:
     """Coset representatives of U(xt_x)U meet (zt_z)U(yt_y)^{-1}U in group,
     each torus given by its character pair (chi(alpha1), chi(alpha2))."""
     G = group
-    tx = _toral_part(t_x)
-    ty = _toral_part(t_y)
-    tz = _toral_part(t_z)
+    tx, ty, tz = map(_toral_part, (t_x, t_y, t_z))
     W = G.W
     xtx = G.multiply(G.lift(x), G.torus(*tx))
     yty_inv = G.invert(G.multiply(G.lift(y), G.torus(*ty)))

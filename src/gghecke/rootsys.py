@@ -109,6 +109,12 @@ class WeylElem:
     perm: tuple[int, ...]
     word: tuple[int, ...] = field(compare=False)
 
+    def __post_init__(self):  # dict keys: hash once, to the dataclass's value
+        object.__setattr__(self, "_hash", hash((self.perm,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def length(self) -> int:
         return len(self.word)
 

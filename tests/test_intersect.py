@@ -5,10 +5,12 @@ representatives for the three length-4 walks, over several fields, against
 hand-worked values.
 """
 import itertools
+import random
 
 import pytest
 
-from gghecke.chevalley import chevalley_group
+from gghecke import intersect as intersect_mod
+from gghecke.chevalley import GroupElem, chevalley_group
 from gghecke.gf import make_field
 from gghecke.intersect import (
     MuAssignment,
@@ -264,15 +266,17 @@ def test_build_rep_matches_uncached_derivations(tag, q, reps):
 
 @pytest.mark.parametrize(
     "tag,pf,reps",
-    [("A2", (2, 2), 366), ("A2", (7,), 1728), ("B2", (3,), 482), ("B2", (5,), 3338),
+    [("A2", (2, 2), 366), ("A2", (7,), 1728), ("A2", (2, 3), 2518), ("A2", (3, 2), 3516),
+     ("B2", (3,), 482), ("B2", (5,), 3338),
      pytest.param("B2", (3, 2), 31562, marks=pytest.mark.slow)],
-    ids=["A2-4", "A2-7", "B2-3", "B2-5", "B2-9"],
+    ids=["A2-4", "A2-7", "A2-8", "A2-9", "B2-3", "B2-5", "B2-9"],
 )
 def test_rep_entries_match_build_rep(tag, pf, reps):
-    # rep_entries extends the prefixes of D_j(mu) one letter at a time;
-    # build_rep rewrites the whole word, twice, and multiplies both shapes
-    # back.  Every representative of every kind pattern goes through both,
-    # in order.
+    # rep_entries extends the prefixes of D_j(mu) one letter at a time and
+    # derives most first parameters from the leaves of parameter 1 by a
+    # torus sandwich; build_rep rewrites the whole word, twice, and
+    # multiplies both shapes back.  Every representative of every kind
+    # pattern goes through both, in order.
     F = make_field(*pf)
     b = weyl_group(tag).basis_elements()
     count = 0
@@ -287,3 +291,72 @@ def test_rep_entries_match_build_rep(tag, pf, reps):
             assert list(rep_entries(sub, F)) == want, sub
             count += len(want)
     assert count == reps, count
+
+
+def _random_elem(G, rng):
+    """A uniformly random normal form u t n_w u' of G."""
+    F = G.F
+    w = rng.choice(G.W.elements)
+    u2 = [rng.randrange(F.q) if k in G.inv_set(w) else 0 for k in range(1, G.N + 1)]
+    t = (rng.randrange(1, F.q), rng.randrange(1, F.q))
+    return GroupElem(G, [rng.randrange(F.q) for _ in range(G.N)], t, w, u2)
+
+
+@pytest.mark.parametrize(
+    "tag,pf,sample", [("A2", (3,), None), ("A2", (2, 2), 2000), ("B2", (5,), 2000)],
+    ids=["A2-3", "A2-4", "B2-5"],
+)
+def test_sandwich_matches_multiply(tag, pf, sample):
+    # the closed form of a g b for tori a, b, which derives the rep-table
+    # leaves of every first parameter other than 0 and 1, against the
+    # rewriting engine: at every normal form of A2/F_3, and at a seeded
+    # sample in characteristic 2 and in B2
+    F = make_field(*pf)
+    G = chevalley_group(tag, F)
+    rng = random.Random(15)
+    units = list(F.units())
+    tori = [((1, 1), (1, 1))] + [
+        tuple((rng.choice(units), rng.choice(units)) for _ in "ab") for _ in range(3)
+    ]
+    if sample is None:
+        elems = list(G.iter_elements())
+    else:
+        elems = [_random_elem(G, rng) for _ in range(sample)]
+    for a, b in tori:
+        maps = {w: intersect_mod._sandwich(G, a, w, b) for w in G.W.elements}
+        ta, tb = G.torus(*a), G.torus(*b)
+        for g in elems:
+            assert maps[g.w](g) == G.multiply(ta, g, tb), (a, g, b)
+
+
+def test_rep_entries_check_every_leaf(monkeypatch):
+    # derived leaves skip the rewriting engine but not the leaf checks:
+    # one _checked call per yielded entry, and one sandwich for g and one
+    # for h per leaf whose first letter is A or B with a parameter other
+    # than 0 and 1
+    F = make_field(5)
+    calls = {"_checked": 0, "_sandwich": 0}
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(intersect_mod, "_checked", count("_checked", intersect_mod._checked))
+    sandwich = intersect_mod._sandwich
+    monkeypatch.setattr(
+        intersect_mod, "_sandwich", lambda *args: count("_sandwich", sandwich(*args))
+    )
+    b = weyl_group("B2").basis_elements()
+    entries = derived = 0
+    for x, y, z in itertools.product(b, repeat=3):
+        for sub in distinguished_subexprs(x, y, z):
+            before = calls["_checked"]
+            n = sum(1 for _ in rep_entries(sub, F))
+            assert calls["_checked"] - before == n, sub
+            entries += n
+            if sub.types[:1] in ("A", "B"):
+                derived += sum(1 for mu in mu_assignments(sub, F) if mu.values[0] > 1)
+    assert entries == 3338 and calls["_checked"] == entries
+    assert derived and calls["_sandwich"] == 2 * derived

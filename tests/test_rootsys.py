@@ -1,7 +1,7 @@
 """Rank-2 root systems and their Weyl groups."""
 import pytest
 
-from gghecke.rootsys import EQUAL, GREATER, LESS, root_system, weyl_group
+from gghecke.rootsys import EQUAL, GREATER, LESS, WeylElem, root_system, weyl_group
 
 
 def test_root_data():
@@ -114,3 +114,19 @@ def test_descent_tracks_length():
                     d = W.descent(w, s, y)
                     swy = W.mult(W.simple(s), wy)
                     assert d == (LESS if swy.length() < wy.length() else GREATER)
+
+
+def test_weyl_elem_hash_and_equality():
+    # the hash is computed once per element; equal but distinct elements
+    # must still compare and hash equal, and look up the same dict entry
+    W = weyl_group("B2")
+    for w in W.elements:
+        twin = WeylElem(w.perm, w.word)
+        assert twin is not w and twin == w and hash(twin) == hash(w)
+        # equality reads perm only, as before
+        assert WeylElem(w.perm, ()) == w
+        assert repr(twin) == repr(w)
+        with pytest.raises(AttributeError):
+            twin.perm = ()
+    assert {w: i for i, w in enumerate(W.elements)}[WeylElem(W.longest().perm, ())] == 7
+    assert len(set(W.elements)) == 8
