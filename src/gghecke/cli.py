@@ -212,11 +212,6 @@ def _row(H: HeckeAlgebra, i: BasisElem, j: BasisElem, K: list) -> list:
     return [vec.get(k, H.F.p) for k in K]
 
 
-def _rep_buckets(payload) -> tuple:
-    tag, fdict, kinds = payload
-    return hecke_algebra(tag, field_from_dict(fdict)).rep_buckets(kinds)
-
-
 def _formula_row(payload) -> list:
     """Closed forms of row i: one list over K for each j."""
     tag, fdict, i, J, K = payload
@@ -235,29 +230,25 @@ def _ordered(pool, fn, items, window: int):
 
 
 @contextmanager
-def _pool(H: HeckeAlgebra, jobs: int, chosen: list):
-    """map, or a map through a worker pool (two rows in flight per worker) that
-    has built the rep table of every kind pattern the sweep reads into H."""
-    patterns = list(product(*(sorted({b.kind for b in c}) for c in chosen)))
-    # never more workers than CPUs or patterns, whatever --jobs asks for
-    size = min(jobs, os.cpu_count() or 1, len(patterns))
+def _pool(jobs: int, rows: int):
+    """map, or an ordered map through a worker pool, two rows in flight per worker."""
+    size = min(jobs, os.cpu_count() or 1)
     if size <= 1:
         yield map
         return
-    payloads = [(H.tag, H.F.to_dict(), kinds) for kinds in patterns]
+    # never more workers than CPUs or rows, whatever --jobs asks for; a one-row
+    # slice still gets its worker, whose closed forms overlap the parent's walk
+    size = min(size, rows)
     with Pool(size) as pool:
-        # one pattern per hand-out: the costliest (0,0,.) patterns come first
-        for kinds, buckets in zip(patterns, pool.map(_rep_buckets, payloads, chunksize=1)):
-            H._reps(kinds, buckets)
         yield lambda fn, items: _ordered(pool, fn, items, 2 * size)
 
 
 def _cmd_constants(args) -> int:
     H = _algebra_of(args)
-    I, J, K = chosen = _chosen(H, args)
+    I, J, K = _chosen(H, args)
     name = {b: _point_str(b) for b in I + J + K}  # one string per point, not per record
     render = {}  # one rendering per distinct constant
-    with _records(args, ["i", "j", "k", "render", "value"]) as write, _pool(H, args.jobs, chosen):
+    with _records(args, ["i", "j", "k", "render", "value"]) as write:
         for i, j in product(I, J):  # one product row per chunk
             row = _row(H, i, j, K)
             texts = [render.get(s) or render.setdefault(s, s.render()) for s in row]
@@ -280,9 +271,9 @@ def _report(fh, args, H: HeckeAlgebra, checked: int, mismatches: list) -> int:
 
 def _cmd_verify_tables(args) -> int:
     H = _algebra_of(args)
-    I, J, K = chosen = _chosen(H, args)
+    I, J, K = _chosen(H, args)
     mismatches = []
-    with _output(args) as fh, _pool(H, args.jobs, chosen) as rows:
+    with _output(args) as fh, _pool(args.jobs, len(I)) as rows:
         # the closed forms of each row i stream back while the parent walks
         tables = rows(_formula_row, ((H.tag, H.F.to_dict(), i, J, K) for i in I))
         for i, table in zip(I, tables):

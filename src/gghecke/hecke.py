@@ -216,23 +216,10 @@ class HeckeAlgebra:
 
     # -- structure constants -----------------------------------------------------
 
-    def rep_buckets(self, kinds: tuple) -> tuple:
-        """Rep table of a kind pattern as plain tuples, one ((t_zero, t_mu),
-        entries) pair per bucket; _reps installs it.  Nothing here depends on
-        another table, so a pool worker can build it and send it back."""
-        x, y, z = (self._bw[k] for k in kinds)
-        buckets = {}
-        for sub in distinguished_subexprs(x, y, z):
-            for t_zero, t_mu, entry in rep_entries(sub, self.F):
-                buckets.setdefault((t_zero, t_mu), []).append(entry)
-        return tuple(buckets.items())
-
-    def _reps(self, kinds: tuple, buckets: tuple | None = None) -> dict:
+    def _reps(self, kinds: tuple) -> dict:
         tbl = self._reptables.get(kinds)
         if tbl is not None:
             return tbl
-        if buckets is None:
-            buckets = self.rep_buckets(kinds)
         F, W = self.F, self.W
         x, y, z = (self._bw[k] for k in kinds)
         # route: character pair (cz1, cz2) of k -> (index of k, trace rows of wz1, wz2)
@@ -247,9 +234,13 @@ class HeckeAlgebra:
                 hop = (n, self._tr[chi[wz1]], self._tr[chi[wz2]])
                 route.setdefault(cz, []).append(hop)
                 one[n] = {cz: [hop]}
+        buckets = {}  # (t0, t_mu) -> the entries of its representatives
+        for sub in distinguished_subexprs(x, y, z):
+            for t0, tmu, entry in rep_entries(sub, F):
+                buckets.setdefault((t0, tmu), []).append(entry)
         # ratio t_mu / t0 -> its buckets (t0, entries collapsed to (*entry, count))
         index = {}
-        for (t0, tmu), entries in buckets:
+        for (t0, tmu), entries in buckets.items():
             r = (F.div(tmu[0], t0[0]), F.div(tmu[1], t0[1]))
             index.setdefault(r, []).append((t0, [(*e, m) for e, m in Counter(entries).items()]))
         py = (W.act(W.inv(y), 1), W.act(W.inv(y), 2))

@@ -11,7 +11,7 @@ from gghecke import cli
 from gghecke.chevalley import chevalley_group
 from gghecke.cyclo import CycloNum
 from gghecke.gf import make_field
-from gghecke.hecke import HeckeAlgebra, hecke_algebra
+from gghecke.hecke import HeckeAlgebra
 from gghecke.intersect import intersect, rep_to_dict
 from gghecke.rootsys import weyl_group
 
@@ -93,11 +93,10 @@ def test_records_follow_the_string_order_of_points(capsys):
 
 
 class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size, chunk sizes and
-    the most results it held that were not yet taken, starts nothing."""
+    """Stands in for multiprocessing.Pool: records its size and the most
+    results it held that were not yet taken, starts nothing."""
 
     sizes = []
-    chunksizes = []
     peaks = []
 
     def __init__(self, size):
@@ -110,10 +109,6 @@ class _InlinePool:
     def __exit__(self, *exc):
         self.peaks.append(self.peak)
         return False
-
-    def map(self, fn, items, chunksize=None):
-        self.chunksizes.append(chunksize)
-        return [fn(it) for it in items]
 
     def apply_async(self, fn, args):
         self.due += 1
@@ -130,22 +125,42 @@ class _Taken:
         return self.value
 
 
-@pytest.mark.parametrize("cpus,want", [(3, 3), (None, None), (10**6, 64)])
-def test_jobs_are_clamped(monkeypatch, tmp_path, cpus, want):
-    # A2/q=2 has 4 basis elements, so 64 triples in 64 kind-pattern chunks
+@pytest.mark.parametrize(
+    "cpus,jobs,flags,want",
+    [
+        (3, "10000", [], 3),
+        (1, "10000", [], None),
+        (None, "10000", [], None),
+        (3, "1", [], None),
+        (10**6, "10000", [], 4),
+        (10**6, "2", ["--i", "1:1"], 1),
+    ],
+    ids=["3-cpus", "1-cpu", "no-cpu-count", "jobs-1", "many-cpus", "one-row"],
+)
+def test_jobs_are_clamped(monkeypatch, tmp_path, cpus, jobs, flags, want):
+    # verify-tables at A2/q=2 has 4 rows i: never more workers than CPUs or
+    # rows, and a one-row slice still gets one worker when two could start
     monkeypatch.setattr(cli, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "chunksizes", [])
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["constants", "--type", "A2", "--q", "2"]
+    argv = ["verify-tables", "--type", "A2", "--q", "2", *flags]
     assert run_cli(argv + ["--out", str(a)]) == 0
     assert _InlinePool.sizes == []
-    assert run_cli(argv + ["--jobs", "10000", "--out", str(b)]) == 0
+    assert run_cli(argv + ["--jobs", jobs, "--out", str(b)]) == 0
     assert _InlinePool.sizes == ([want] if want else [])
-    # workers take one kind pattern at a time, so the costly ones spread out
-    assert _InlinePool.chunksizes == ([1] if want else [])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_tables_through_a_real_pool(monkeypatch, tmp_path):
+    # two worker processes compute the closed forms; the report is that of --jobs 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify-tables", "--type", "B2", "--q", "3"]
+    assert run_cli(argv + ["--jobs", "1", "--out", str(a)]) == 0
+    assert run_cli(argv + ["--jobs", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(b.read_text())["checked"] == 9**3
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -154,12 +169,8 @@ def test_selections_match_full_table(monkeypatch, capsys, tag, jobs):
     monkeypatch.setattr(cli, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "chunksizes", [])
-    H = hecke_algebra(tag, make_field(3))
 
     def records(n, *flags):
-        # empty rep tables, so that a pooled run installs what its workers built
-        monkeypatch.setattr(H, "_reptables", {})
         argv = ["constants", "--type", tag, "--q", "3", "--jobs", n, *flags]
         rc, payload = run_json(argv, capsys)
         assert rc == 0
@@ -174,7 +185,8 @@ def test_selections_match_full_table(monkeypatch, capsys, tag, jobs):
         (["--i", i, "--j", j], lambda r: (r["i"], r["j"]) == (i, j)),
     ]:
         assert records(jobs, *flags) == [r for r in full if keep(r)], flags
-    assert _InlinePool.sizes == ([2] * 4 if jobs == "2" else [])
+    # constants walks in one process at any --jobs
+    assert _InlinePool.sizes == []
 
 
 def test_verify_tables_keeps_a_window_of_rows(monkeypatch, tmp_path):
@@ -183,7 +195,6 @@ def test_verify_tables_keeps_a_window_of_rows(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "chunksizes", [])
     monkeypatch.setattr(_InlinePool, "peaks", [])
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify-tables", "--type", "A2", "--q", "3"]

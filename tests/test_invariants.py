@@ -15,7 +15,6 @@ from itertools import combinations, product
 
 import pytest
 
-from gghecke import cli
 from gghecke.gf import make_field
 from gghecke.hecke import HeckeVec, hecke_algebra
 from gghecke.intersect import distinguished_subexprs
@@ -51,15 +50,11 @@ def test_rep_table_sizes_are_iwahori_hecke_constants(tag, pf):
     bw = W.basis_elements()
     for kinds in product(range(4), repeat=3):
         x, y, z = (bw[k] for k in kinds)
-        # the buckets exactly as a pool worker sends them back
-        buckets = cli._rep_buckets((tag, F.to_dict(), kinds))
-        got = sum(len(entries) for _, entries in buckets)
-        want = _iwahori_hecke(W, F.q, x, y).get(z, 0)
-        assert got == want, kinds
-        # the installed ratio index, built from such buckets: equal entries of
-        # a bucket collapse into one with a count, and the counts lose no entry
-        index = H._reps(kinds, buckets)["index"]
-        assert sum(e[-1] for bs in index.values() for _, entries in bs for e in entries) == want, kinds
+        # the installed ratio index: equal entries of a bucket collapse into
+        # one with a count, and the counts lose no entry
+        index = H._reps(kinds)["index"]
+        got = sum(e[-1] for bs in index.values() for _, entries in bs for e in entries)
+        assert got == _iwahori_hecke(W, F.q, x, y).get(z, 0), kinds
 
 
 def _is_prime_power(q: int) -> bool:
