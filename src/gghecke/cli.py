@@ -4,8 +4,14 @@ Subcommands: basis, intersect, constants, verify-tables, verify-oracle,
 sums.  Output is deterministic: records come in canonical order, JSON is
 emitted with sorted keys, CSV with a fixed header.  Record lists are
 streamed one product row at a time, with the bytes of one whole-list dump.
-Exit status 0 means success or verification pass, 1 a verification
-mismatch (the mismatch report still goes to --out), 2 a usage error.
+The algebra is commutative, so `constants` computes each unordered pair
+{i, j} once, as e_a e_b with kind(a) <= kind(b), and never builds the rep
+tables of descending kinds; the library's products are not reduced, and
+the test suite checks S_ij = S_ji on every pair of several fields.
+`verify-tables` checks every ordered triple against its closed form, which
+worker processes compute in pieces of a row.  Exit status 0 means success
+or verification pass, 1 a verification mismatch (the mismatch report still
+goes to --out), 2 a usage error.
 """
 
 import argparse
@@ -16,7 +22,7 @@ import os
 import sys
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from itertools import product
+from itertools import product, repeat
 from multiprocessing import Pool
 
 from .cyclo import CycloNum, gauss_sum, kloosterman
@@ -36,15 +42,9 @@ def _usage(msg: str):
 def _factor_q(q: int) -> tuple:
     if q > _MAX_Q:
         raise ValueError(f"q = {q} exceeds the supported bound {_MAX_Q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
+    p = next((d for d in range(2, q + 1) if q % d == 0), 0)
+    for f in range(1, q.bit_length()):
+        if p**f == q:
             return p, f
     raise ValueError(f"q = {q} is not a prime power")
 
@@ -67,10 +67,8 @@ def _field_of(args) -> Field:
 def _algebra_of(args) -> HeckeAlgebra:
     F = _field_of(args)
     if args.type == "B2" and F.p == 2:
-        _usage(
-            "B2 requires p odd: the SO5 closed forms hold in odd "
-            f"characteristic only, got p = {F.p}"
-        )
+        _usage("B2 requires p odd: the SO5 closed forms hold in odd "
+               f"characteristic only, got p = {F.p}")
     return hecke_algebra(args.type, F)
 
 
@@ -88,55 +86,73 @@ def _point_str(b: BasisElem) -> str:
 # -- emission -----------------------------------------------------------------
 
 
+def _csv_cells(vals) -> str:
+    """vals as adjacent cells of a csv.writer record; the empty first cell
+    keeps a lone empty value unquoted, as inside a longer record."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", *vals])
+    return buf.getvalue()[1:-1]
+
+
 class _Doc:
-    """A record list on its way out.  A record is a tuple of values in header
-    order; JSON writes its keys sorted, CSV its cells in header order.  Each
-    distinct value of a column is encoded once, into that column's memo."""
+    """A record list on its way out.  A row holds one item per field: a field
+    is a key, whose value is the item, or (keys, split), adjacent keys whose
+    values split(item) gives, encoded together.  JSON writes a record's keys
+    sorted and CSV its cells in header order, so a field's keys are adjacent
+    in both.  Each distinct item of a field is encoded once, into that field's
+    memo; a CycloNum is keyed by its coefficient tuple, which hashes in C."""
 
-    def __init__(self, fmt: str, header: list):
-        self.fmt, self.header, self.count, self.opened = fmt, header, 0, False
-        order = range(len(header))
+    def __init__(self, fmt: str, fields: list):
+        fields = [((f,), lambda v: (v,)) if isinstance(f, str) else f for f in fields]
+        self.fmt, self.count, self.opened = fmt, 0, False
+        self.header = [key for keys, _ in fields for key in keys]
+        order = range(len(fields))
         if fmt == "json":
-            order = sorted(order, key=header.__getitem__)
-        self.cols = [(c, {}, self._encoder(header[c])) for c in order]
+            order = sorted(order, key=lambda n: fields[n][0])
+        self.fields = [(n, {}, self._encoder(*fields[n])) for n in order]
 
-    def _encoder(self, key: str):
+    def _encoder(self, keys: tuple, split):
         opts = {"sort_keys": True, "default": CycloNum.to_dict}
         if self.fmt == "csv":
-            return lambda v: v if isinstance(v, str) else json.dumps(v, **opts)
-        lead = f"      {json.dumps(key)}: "  # a member line of a record in the indent=2 document
-        return lambda v: lead + json.dumps(v, indent=2, **opts).replace("\n", "\n      ")
+            return lambda item: _csv_cells(
+                v if isinstance(v, str) else json.dumps(v, **opts) for v in split(item)
+            )
+        # member lines of a record in the indent=2 document
+        leads = [f"      {json.dumps(key)}: " for key in keys]
+        return lambda item: ",\n".join(
+            lead + json.dumps(v, indent=2, **opts).replace("\n", "\n      ")
+            for lead, v in zip(leads, split(item))
+        )
 
-    def cells(self, row) -> list:
-        out = []
-        for c, memo, enc in self.cols:
-            v = row[c]
-            try:
-                text = memo[v]
-            except KeyError:
-                text = memo[v] = enc(v)
-            except TypeError:  # lists and dicts (intersect's few records) go unmemoized
-                text = enc(v)
-            out.append(text)
-        return out
+
+def _texts(col: tuple, memo: dict, enc) -> list:
+    """The encoded items of one field over a chunk of rows."""
+    keys = [v.coeffs for v in col] if type(col[0]) is CycloNum else col
+    try:
+        return list(map(memo.__getitem__, keys))
+    except KeyError:
+        memo.update((key, enc(v)) for key, v in zip(keys, col) if key not in memo)
+        return list(map(memo.__getitem__, keys))
+    except TypeError:  # lists and dicts (intersect's few records) go unmemoized
+        return [enc(v) for v in col]
 
 
 def emit(doc: _Doc, rows, last: bool = False) -> str:
     """The text of one chunk of rows: the document's opening if none of it
     has been emitted yet, one record per row, and its closing if last.  The
     chunks add up to what json.dumps(..., sort_keys=True, indent=2) or one
-    csv.writer gives for the whole list."""
-    records = [doc.cells(row) for row in rows]
+    csv.writer gives for the whole list.  A record is one join of its
+    fields' texts."""
+    cols = list(zip(*rows))
+    texts = [_texts(cols[n], memo, enc) for n, memo, enc in doc.fields] if cols else ()
+    records = list(map((",\n" if doc.fmt == "json" else ",").join, zip(*texts)))
     if doc.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if not doc.opened:
-            writer.writerow(doc.header)
-        writer.writerows(records)
-        text = buf.getvalue()
+        text = "".join(r + "\n" for r in ([] if doc.opened else [_csv_cells(doc.header)]) + records)
     else:
-        lead = ("" if doc.opened else '{\n  "records": [') + ("," if doc.count and records else "")
-        text = lead + ",".join("\n    {\n" + ",\n".join(r) + "\n    }" for r in records)
+        text = "" if doc.opened else '{\n  "records": ['
+        if records:
+            body = "\n    },\n    {\n".join(records)
+            text += ("," if doc.count else "") + "\n    {\n" + body + "\n    }"
         if last:
             text += ("\n  ]" if doc.count + len(records) else "]") + "\n}\n"
     doc.opened = True
@@ -151,10 +167,10 @@ def _output(args):
 
 
 @contextmanager
-def _records(args, header: list):
+def _records(args, fields: list):
     """A writer of one record list: each call emits one chunk of rows, and
     the closing follows the last."""
-    doc = _Doc(args.format, header)
+    doc = _Doc(args.format, fields)
     with _output(args) as fh:
         yield lambda rows: fh.write(emit(doc, rows))
         fh.write(emit(doc, (), last=True))
@@ -174,10 +190,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_intersect(args) -> int:
     H = _algebra_of(args)
-    bx, by, bz = (_parse_point(t) for t in (args.x, args.y, args.z))
-    x, tx = H.point(bx)
-    y, ty = H.point(by)
-    z, tz = H.point(bz)
+    (x, tx), (y, ty), (z, tz) = (H.point(_parse_point(t)) for t in (args.x, args.y, args.z))
     reps = intersect(x, tx, y, ty, z, tz, group=H.G)
     records = sorted((rep_to_dict(r) for r in reps), key=lambda r: (r["j"], r["mu"]))
     header = ["j", "type", "mu", "t_mu", "t_0", "rep", "uxu", "zuy"]
@@ -208,15 +221,23 @@ def _row(H: HeckeAlgebra, i: BasisElem, j: BasisElem, K: list) -> list:
     --k names the single k (K is otherwise the whole basis, q^2 >= 4 points)."""
     if len(K) == 1:
         return [H.structure_constant(i, j, K[0])]
-    vec = H.multiply(i, j)
-    return [vec.get(k, H.F.p) for k in K]
+    get, zero = H.multiply(i, j).coeffs.get, CycloNum.zero(H.F.p)
+    return [get(k, zero) for k in K]
 
 
-def _formula_row(payload) -> list:
-    """Closed forms of row i: one list over K for each j."""
-    tag, fdict, i, J, K = payload
+# closed forms in one piece of a verify-tables row: a worker's message stays small
+_PIECE = 1 << 12
+
+
+def _formulas(payload) -> list:
+    """Closed forms of one piece of row i: one list over K for each j of the
+    run, of coefficient tuples.  Points come as their positions in H.basis,
+    and tuples go back: both pickle in C."""
+    tag, fdict, i, run, K = payload
     H = hecke_algebra(tag, field_from_dict(fdict))
-    return [[H.table_formula(i, j, k) for k in K] for j in J]
+    B = H.basis
+    i, K = B[i], [B[k] for k in K]
+    return [[H.table_formula(i, B[j], k).coeffs for k in K] for j in run]
 
 
 def _ordered(pool, fn, items, window: int):
@@ -231,7 +252,7 @@ def _ordered(pool, fn, items, window: int):
 
 @contextmanager
 def _pool(jobs: int, rows: int):
-    """map, or an ordered map through a worker pool, two rows in flight per worker."""
+    """map, or an ordered map through a worker pool, two pieces in flight per worker."""
     size = min(jobs, os.cpu_count() or 1)
     if size <= 1:
         yield map
@@ -243,16 +264,28 @@ def _pool(jobs: int, rows: int):
         yield lambda fn, items: _ordered(pool, fn, items, 2 * size)
 
 
+# constants' render and value columns, both encoded from one CycloNum
+_CONSTANT = (("render", "value"), lambda s: (s.render(), s))
+
+
 def _cmd_constants(args) -> int:
     H = _algebra_of(args)
     I, J, K = _chosen(H, args)
     name = {b: _point_str(b) for b in I + J + K}  # one string per point, not per record
-    render = {}  # one rendering per distinct constant
-    with _records(args, ["i", "j", "k", "render", "value"]) as write:
-        for i, j in product(I, J):  # one product row per chunk
-            row = _row(H, i, j, K)
-            texts = [render.get(s) or render.setdefault(s, s.render()) for s in row]
-            write([(name[i], name[j], name[k], t, s) for k, t, s in zip(K, texts, row)])
+    ks = [name[k] for k in K]
+    # S_ij = S_ji: each unordered pair is computed once, as a product whose
+    # kinds ascend, and held while its mirror row (c, r) is still due, its
+    # constants shared through one CycloNum per distinct value
+    mirrored, held, same = I == J, {}, {}
+    with _records(args, ["i", "j", "k", _CONSTANT]) as write:
+        for r, i in enumerate(I):
+            for c, j in enumerate(J):  # one product row per chunk
+                row = held.pop((r, c), None)
+                if row is None:
+                    row = _row(H, *((i, j) if i.kind <= j.kind else (j, i)), K)
+                    if mirrored and c > r:
+                        held[c, r] = [same.setdefault(s.coeffs, s) for s in row]
+                write(zip(repeat(name[i]), repeat(name[j]), ks, row))
     return 0
 
 
@@ -273,15 +306,20 @@ def _cmd_verify_tables(args) -> int:
     H = _algebra_of(args)
     I, J, K = _chosen(H, args)
     mismatches = []
-    with _output(args) as fh, _pool(args.jobs, len(I)) as rows:
-        # the closed forms of each row i stream back while the parent walks
-        tables = rows(_formula_row, ((H.tag, H.F.to_dict(), i, J, K) for i in I))
-        for i, table in zip(I, tables):
-            for j, trow in zip(J, table):
+    step = max(1, _PIECE // len(K))
+    pieces = [(i, J[s : s + step]) for i in I for s in range(0, len(J), step)]
+    with _output(args) as fh, _pool(args.jobs, len(I)) as pmap:
+        # the closed forms of each piece (i, run of J) stream back while the parent walks
+        fdict, at = H.F.to_dict(), {b: n for n, b in enumerate(H.basis)}
+        ks = [at[k] for k in K]
+        payloads = ((H.tag, fdict, at[i], [at[j] for j in run], ks) for i, run in pieces)
+        tables = pmap(_formulas, payloads)
+        for (i, run), table in zip(pieces, tables):
+            for j, trow in zip(run, table):
                 for k, a, t in zip(K, _row(H, i, j, K), trow):
-                    if a != t:
+                    if a.coeffs != t:
                         reps = intersect(*H.point(i), *H.point(j), *H.point(k), group=H.G)
-                        found = {"algorithm": a.render(), "table": t.render()}
+                        found = {"algorithm": a.render(), "table": CycloNum(H.F.p, t).render()}
                         mismatches.append(_mismatch(reps, i, j, k, found))
         return _report(fh, args, H, len(I) * len(J) * len(K), mismatches)
 
@@ -328,24 +366,31 @@ def _cmd_sums(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-# flags that only some subcommands read; each is attached only where it is read
-_EXTRA = {
-    "format": {"choices": ("json", "csv"), "default": "json"},
-    "jobs": {"type": int, "default": 1},
-    "budget": {"type": int, "default": DEFAULT_BUDGET},
+# flags beyond the field and --out, in groups; each is attached only where it is read
+_FLAGS = {
+    "format": {"--format": {"choices": ("json", "csv"), "default": "json"}},
+    "jobs": {"--jobs": {"type": int, "default": 1}},
+    "budget": {"--budget": {"type": int, "default": DEFAULT_BUDGET}},
+    "xyz": {f"--{c}": {"required": True, "metavar": "KIND:PARAMS"} for c in "xyz"},
+    "ijk": {f"--{c}": {"default": None, "metavar": "KIND:PARAMS"} for c in "ijk"},
+    "kloosterman": {
+        "--kloosterman": {
+            "action": "append",
+            "metavar": "l,B,a,b[,ap,bp]",
+            "help": "generalized Kloosterman sum; repeatable",
+        }
+    },
 }
 
-
-def _add_common(sub, *extra, with_type=True):
-    if with_type:
-        sub.add_argument("--type", choices=("A2", "B2"), required=True)
-    sub.add_argument("--q", type=int, default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--f", type=int, default=None)
-    sub.add_argument("--modulus", default=None)
-    sub.add_argument("--out", default=None)
-    for name in extra:
-        sub.add_argument(f"--{name}", **_EXTRA[name])
+# subcommand -> (help, function, whether it takes --type, its flag groups)
+_COMMANDS = {
+    "basis": ("list the standard basis", _cmd_basis, True, ["format"]),
+    "intersect": ("coset representatives of a triple", _cmd_intersect, True, ["format", "xyz"]),
+    "constants": ("structure constants", _cmd_constants, True, ["format", "jobs", "ijk"]),
+    "verify-tables": ("algorithm vs closed-form tables", _cmd_verify_tables, True, ["jobs", "ijk"]),
+    "verify-oracle": ("algorithm vs brute-force oracle", _cmd_verify_oracle, True, ["budget", "ijk"]),
+    "sums": ("character sums over the field", _cmd_sums, False, ["format", "kloosterman"]),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -354,48 +399,18 @@ def _parser() -> argparse.ArgumentParser:
         description="Gelfand-Graev Hecke algebra structure constants, exactly.",
     )
     subs = top.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("basis", help="list the standard basis")
-    _add_common(sub, "format")
-    sub.set_defaults(fn=_cmd_basis)
-
-    sub = subs.add_parser("intersect", help="coset representatives of a triple")
-    _add_common(sub, "format")
-    for flag in ("--x", "--y", "--z"):
-        sub.add_argument(flag, required=True, metavar="KIND:PARAMS")
-    sub.set_defaults(fn=_cmd_intersect)
-
-    sub = subs.add_parser("constants", help="structure constants")
-    _add_common(sub, "format", "jobs")
-    for flag in ("--i", "--j", "--k"):
-        sub.add_argument(flag, default=None, metavar="KIND:PARAMS")
-    sub.set_defaults(fn=_cmd_constants)
-
-    sub = subs.add_parser(
-        "verify-tables", help="algorithm vs closed-form tables"
-    )
-    _add_common(sub, "jobs")
-    for flag in ("--i", "--j", "--k"):
-        sub.add_argument(flag, default=None, metavar="KIND:PARAMS")
-    sub.set_defaults(fn=_cmd_verify_tables)
-
-    sub = subs.add_parser(
-        "verify-oracle", help="algorithm vs brute-force oracle"
-    )
-    _add_common(sub, "budget")
-    for flag in ("--i", "--j", "--k"):
-        sub.add_argument(flag, default=None, metavar="KIND:PARAMS")
-    sub.set_defaults(fn=_cmd_verify_oracle)
-
-    sub = subs.add_parser("sums", help="character sums over the field")
-    _add_common(sub, "format", with_type=False)
-    sub.add_argument(
-        "--kloosterman",
-        action="append",
-        metavar="l,B,a,b[,ap,bp]",
-        help="generalized Kloosterman sum; repeatable",
-    )
-    sub.set_defaults(fn=_cmd_sums)
+    for name, (text, fn, typed, groups) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        if typed:
+            sub.add_argument("--type", choices=("A2", "B2"), required=True)
+        for flag in ("--q", "--p", "--f"):
+            sub.add_argument(flag, type=int, default=None)
+        sub.add_argument("--modulus", default=None)
+        sub.add_argument("--out", default=None)
+        for group in groups:
+            for flag, opts in _FLAGS[group].items():
+                sub.add_argument(flag, **opts)
+        sub.set_defaults(fn=fn)
     return top
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
@@ -90,6 +91,87 @@ def test_records_follow_the_string_order_of_points(capsys):
     ks = [r["k"] for r in payload["records"]]
     assert len(ks) == 121 and ks == sorted(ks)
     assert ks.index("0:1,10") < ks.index("0:1,2")
+
+
+def _point(b):
+    return f"{b.kind}:{','.join(str(t) for t in b.params)}"
+
+
+@lru_cache(maxsize=None)
+def _direct_products(tag, pf):
+    """A fresh algebra, its basis in the string order of the records, and
+    H.multiply(i, j) for every ordered pair: all 64 rep tables, no mirror."""
+    H = HeckeAlgebra(tag, make_field(*pf))
+    basis = sorted((_point(b), b) for b in H.basis)
+    return H, basis, {(i, j): H.multiply(i, j) for _, i in basis for _, j in basis}
+
+
+def _direct_document(tag, pf, fmt, flags):
+    H, basis, products = _direct_products(tag, pf)
+    I, J, K = ([(n, b) for n, b in basis if flags.get(f) in (None, n)] for f in "ijk")
+    records = []
+    for (ni, i), (nj, j), (nk, k) in ((a, b, c) for a in I for b in J for c in K):
+        s = H.structure_constant(i, j, k) if "k" in flags else products[i, j].get(k, H.F.p)
+        records.append({"i": ni, "j": nj, "k": nk, "render": s.render(), "value": s.to_dict()})
+    if fmt == "json":
+        return json.dumps({"records": records}, sort_keys=True, indent=2) + "\n"
+    header = ["i", "j", "k", "render", "value"]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for r in records:
+        w.writerow([r[h] if h != "value" else json.dumps(r[h], sort_keys=True) for h in header])
+    return buf.getvalue()
+
+
+def _same_text(got, want):
+    """got == want, else the first line that differs (a diff of megabytes would take minutes)."""
+    if got == want:
+        return True
+    pairs = zip(got.splitlines(), want.splitlines())
+    diff = ((n, a, b) for n, (a, b) in enumerate(pairs) if a != b)
+    return next(diff, "one is a prefix of the other")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "tag,pf", [("A2", (2, 2)), ("A2", (5,)), ("B2", (5,))], ids=["A2-4", "A2-5", "B2-5"]
+)
+def test_constants_equal_every_ordered_product(capsys, tag, pf, fmt):
+    # the CLI computes each unordered pair once and mirrors it; the bytes are
+    # those of H.multiply(i, j) (or structure_constant under --k) over every
+    # ordered pair, with --i of kind 2 and --i --j a descending pair of kinds
+    for flags in [{}, {"i": "2:1"}, {"j": "0:1,2"}, {"k": "1:2"}, {"i": "2:3", "j": "0:1,2"}]:
+        argv = ["constants", "--type", tag, "--q", str(make_field(*pf).q), "--format", fmt]
+        assert run_cli(argv + [a for f, v in flags.items() for a in (f"--{f}", v)]) == 0
+        same = _same_text(capsys.readouterr().out, _direct_document(tag, pf, fmt, flags))
+        assert same is True, (flags, same)
+
+
+@pytest.mark.parametrize("tag,pf", [("A2", (2, 2)), ("B2", (3,))], ids=["A2-4", "B2-3"])
+def test_constants_build_only_ascending_rep_tables(monkeypatch, tmp_path, tag, pf):
+    # on a fresh algebra a full table builds the 40 rep tables (a, b, c) with
+    # a <= b and none of the 24 descending ones; slices whose i has the larger
+    # kind build none either
+    fresh = []
+
+    def algebra(tag, F):
+        fresh.append(HeckeAlgebra(tag, F))
+        return fresh[-1]
+
+    monkeypatch.setattr(cli, "hecke_algebra", algebra)
+    f = tmp_path / "t.json"
+    argv = ["constants", "--type", tag, "--q", str(make_field(*pf).q), "--out", str(f)]
+    assert run_cli(argv) == 0
+    ascending = {(a, b, c) for a in range(4) for b in range(a, 4) for c in range(4)}
+    assert set(fresh[-1]._reptables) == ascending
+    same = _same_text(f.read_text(), _direct_document(tag, pf, "json", {}))
+    assert same is True, same
+    for flags in (["--i", "2:1"], ["--i", "3:"], ["--i", "2:1", "--j", "1:1"],
+                  ["--i", "1:1", "--k", "0:1,1"]):
+        assert run_cli(argv + flags) == 0
+        kinds = set(fresh[-1]._reptables)
+        assert kinds and kinds <= ascending, (flags, sorted(kinds))
 
 
 class _InlinePool:

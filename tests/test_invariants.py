@@ -80,8 +80,17 @@ def test_walk_types_count_iwahori_hecke_constants(tag):
 
 @pytest.mark.parametrize(
     "tag,pf",
-    [("A2", (2, 2)), ("A2", (7,)), ("B2", (3,)), ("B2", (5,))],
-    ids=["A2-4", "A2-7", "B2-3", "B2-5"],
+    [
+        ("A2", (2, 2)),
+        ("A2", (7,)),
+        ("B2", (3,)),
+        ("B2", (5,)),
+        # constants mirrors every product across the diagonal: the slow tier
+        # checks that beyond the fields above
+        pytest.param("A2", (2, 3), marks=pytest.mark.slow),
+        pytest.param("B2", (7,), marks=pytest.mark.slow),
+    ],
+    ids=["A2-4", "A2-7", "B2-3", "B2-5", "A2-8", "B2-7"],
 )
 def test_multiply_commutes_on_every_pair(tag, pf):
     H = hecke_algebra(tag, make_field(*pf))
