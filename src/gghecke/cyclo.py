@@ -237,11 +237,11 @@ def quad_char_sum(field: gf.Field, A: int, B: int, C: int) -> CycloNum:
 
 def root_sum(
     field: gf.Field, ell: int, target: int, a: int, b: int, a2: int = 0, b2: int = 0
-) -> CycloNum:
-    """Sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over z with z^ell = target.
+) -> list:
+    """Count vector of the sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over z with
+    z^ell = target: entry r is the number of roots whose argument has trace r.
 
-    The residues of the traces are counted, so the sum is one from_zeta_counts;
-    an empty root set gives 0.
+    An empty root set gives all zeros.
     """
     F = field
     counts = [0] * F.p
@@ -253,7 +253,7 @@ def root_sum(
         if b2:
             arg = F.add(arg, F.mul(b2, F.mul(zi, zi)))
         counts[F.trace(arg)] += 1
-    return CycloNum.from_zeta_counts(F.p, counts)
+    return counts
 
 
 def kloosterman(
@@ -271,7 +271,7 @@ def kloosterman(
         raise ValueError(f"B, a, b, ap, bp must be codes 0..{field.q - 1} of F_{field.q}")
     if B == 0:
         raise ValueError("B must be a unit")
-    return root_sum(field, l, B, a, b, ap, bp)
+    return CycloNum.from_zeta_counts(field.p, root_sum(field, l, B, a, b, ap, bp))
 
 
 if __name__ == "__main__":

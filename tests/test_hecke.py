@@ -236,9 +236,36 @@ def test_b2_longest_word_closed_form_over_f9():
 
 
 def test_table_formula_validates_params():
+    # a parameter outside F_3^x (0, or the out-of-range code 3) in i, j or k,
+    # at any kind, is a ValueError
     H = hecke_algebra("A2", make_field(3))
-    with pytest.raises(ValueError):
-        H.table_formula(BasisElem(1, (0,)), H.unit(), H.unit())
+    e, u = BasisElem(1, (1,)), H.unit()
+    for bad in (BasisElem(1, (0,)), BasisElem(2, (0,)), BasisElem(0, (1, 0)), BasisElem(2, (3,))):
+        for args in ((bad, u, u), (e, bad, e), (e, e, bad)):
+            with pytest.raises(ValueError):
+                H.table_formula(*args)
+
+
+@pytest.mark.parametrize("tag,pf", [("A2", (2, 2)), ("B2", (5,))], ids=["A2-4", "B2-5"])
+def test_table_formula_is_one_count_vector(monkeypatch, tag, pf):
+    # every closed form adds into one list of zeta counts: no CycloNum
+    # arithmetic, and exactly one from_zeta_counts per triple
+    H = hecke_algebra(tag, make_field(*pf))
+    made, from_counts = [], CycloNum.from_zeta_counts
+
+    def counted(p, counts):
+        made.append(p)
+        return from_counts(p, counts)
+
+    def refuse(*args):
+        raise AssertionError("CycloNum arithmetic in a closed form")
+
+    for name in ("__add__", "__mul__", "__rmul__", "scale"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    monkeypatch.setattr(CycloNum, "from_zeta_counts", staticmethod(counted))
+    for n, (i, j, k) in enumerate(itertools.product(H.basis, repeat=3), 1):
+        H.table_formula(i, j, k)
+        assert len(made) == n, (i, j, k)
 
 
 def test_hecke_vec_basics():
