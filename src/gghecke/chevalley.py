@@ -40,8 +40,6 @@ relations above fix, checks the Jacobi identity, and reads each eta off the
 matrix of Ad(n_i(1)), together with n_i^2 = h_i(-1).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import product
 

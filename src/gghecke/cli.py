@@ -23,7 +23,6 @@ import sys
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from itertools import product, repeat
-from multiprocessing import Pool
 
 from .cyclo import CycloNum, gauss_sum, kloosterman
 from .gf import _MAX_Q, Field, field_from_dict, make_field
@@ -260,6 +259,8 @@ def _pool(jobs: int, rows: int):
     # never more workers than CPUs or rows, whatever --jobs asks for; a one-row
     # slice still gets its worker, whose closed forms overlap the parent's walk
     size = min(size, rows)
+    from multiprocessing import Pool  # imported only where workers start
+
     with Pool(size) as pool:
         yield lambda fn, items: _ordered(pool, fn, items, 2 * size)
 

@@ -15,8 +15,6 @@ one exact_div, which checks that every coefficient divides.
 True
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import add, neg, sub
 

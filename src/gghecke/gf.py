@@ -20,10 +20,8 @@ work.  Intended for q up to a few hundred; construction refuses larger q.
 0
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 _MAX_Q = 512
 

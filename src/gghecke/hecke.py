@@ -11,13 +11,13 @@ the expansion of e_0(x, y) through e_1, e_2 products.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chevalley import Group, GroupElem, chevalley_group
 from .cyclo import CycloNum, kloosterman_counts, phi, root_sum, square_counts
 from .gf import Field
 from .intersect import distinguished_subexprs, intersect, rep_entries
+from .rootsys import Record, WeylElem
 
 __all__ = [
     "BasisElem",
@@ -31,21 +31,21 @@ __all__ = [
 _ARITY = {0: 2, 1: 1, 2: 1, 3: 0}
 
 
-@dataclass(frozen=True)
-class BasisElem:
+class BasisElem(Record):
     """Point (kind, params): kind 0 <-> (a,b), 1 <-> c, 2 <-> d, 3 <-> unit."""
 
-    kind: int
-    params: tuple = ()
+    _fields = ("kind", "params")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        if self.kind not in _ARITY:
+    def __init__(self, kind: int, params=()):
+        if kind not in _ARITY:
             raise ValueError("kind must be 0..3")
-        object.__setattr__(self, "params", tuple(self.params))
-        if len(self.params) != _ARITY[self.kind]:
+        params = tuple(params)
+        if len(params) != _ARITY[kind]:
             raise ValueError("wrong parameter count for kind")
+        super().__init__(kind, params)
         # every dict keyed by basis points hashes its keys: hash once
-        object.__setattr__(self, "_hash", hash((self.kind, self.params)))
+        object.__setattr__(self, "_hash", hash((kind, params)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -142,38 +142,31 @@ class HeckeAlgebra:
 
     # -- basis ---------------------------------------------------------------
 
-    def _psi_compatible(self, n: GroupElem) -> bool:
-        """^n psi = psi on U meet nUn^{-1}, tested on root-group generators."""
-        G, F = self.G, self.F
-        ninv = G.invert(n)
-        keep = [
-            idx
-            for idx in range(1, G.N + 1)
-            if idx not in G.inv_set(self.W.inv(n.w))
+    def _compatible_tori(self, w: WeylElem) -> list:
+        """The torus pairs t, in field order, with ^n psi = psi on U meet nUn^{-1}
+        for n = lift(w) t, tested on its root-group generators u = u_k(c).  Each
+        u is conjugated once: n^{-1} u n = t^{-1} v t for v = lift(w)^{-1} u lift(w)
+        in U, and t^{-1} u_k(x) t = u_k(x / chi_t(alpha_k)), so psi(n^{-1} u n)
+        is phi(v_1 / t_1 + v_2 / t_2) on v's simple-root coordinates."""
+        G, F, roots = self.G, self.F, range(1, self.G.N + 1)
+        lift = G.lift(w)
+        linv, inverted = G.invert(lift), G.inv_set(self.W.inv(w))
+        checks = []
+        for u in (G.unipotent([c if i == k else 0 for i in roots])
+                  for k in roots if k not in inverted for c in F.units()):
+            v = G.multiply(linv, u, lift)
+            if v.w.length() or v.t != (1, 1) or any(v.u2):
+                raise AssertionError("conjugate left U")
+            checks.append((v.u[0], v.u[1], self.char.value(u)))
+        add, div, phi = F.add, F.div, self.char.phi_of
+        return [
+            (t1, t2) for t1 in F.units() for t2 in F.units()
+            if all(phi(add(div(x1, t1), div(x2, t2))) == want for x1, x2, want in checks)
         ]
-        for idx in keep:
-            for c in F.units():
-                coords = [0] * G.N
-                coords[idx - 1] = c
-                u = G.unipotent(coords)
-                conj = G.multiply(ninv, u, n)
-                if conj.w.length() or any(conj.u2):
-                    raise AssertionError("conjugate left U")
-                if self.char.value(conj) != self.char.value(u):
-                    return False
-        return True
 
     def _compute_basis(self) -> list:
         """(basis point, its torus pair), in basis order."""
-        G, F, W = self.G, self.F, self.W
-        found = {}
-        order = sorted(W.elements, key=lambda w: (w.length(), w.digits()))
-        for w in order:
-            lift = G.lift(w)
-            for t1 in F.units():
-                for t2 in F.units():
-                    if self._psi_compatible(G.multiply(lift, G.torus(t1, t2))):
-                        found.setdefault(w, []).append((t1, t2))
+        found = {w: tori for w in self.W.elements if (tori := self._compatible_tori(w))}
         w0, w1, w2, w3 = self._bw
         if set(found) != {w0, w1, w2, w3}:
             raise AssertionError("basis supported on unexpected Weyl elements")
@@ -189,7 +182,7 @@ class HeckeAlgebra:
         if found[w3] != [(1, 1)]:
             raise AssertionError("unit candidate with nontrivial torus")
         out.append((BasisElem(3), (1, 1)))
-        if len(out) != F.q * F.q:
+        if len(out) != self.F.q**2:
             raise AssertionError("basis size is not q^2")
         return out
 

@@ -27,13 +27,12 @@ cross-check the relation tables, and multiplies both factorized shapes
 back.
 """
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product, starmap
 
 from .chevalley import Group, GroupElem, chevalley_group
 from .gf import Field
-from .rootsys import Cmp, WeylElem, weyl_group
+from .rootsys import Cmp, Record, WeylElem, weyl_group
 
 __all__ = [
     "Subexpr",
@@ -57,8 +56,7 @@ def _tag_of(w: WeylElem) -> str:
         raise ValueError("Weyl element does not belong to a rank-2 type") from None
 
 
-@dataclass(frozen=True)
-class Subexpr:
+class Subexpr(Record):
     """A distinguished subexpression of the reduced word of x.
 
     Positions m = 1..n count from the right end of the word; jvec and
@@ -66,12 +64,7 @@ class Subexpr:
     position m lives at index n - m.
     """
 
-    tag: str
-    x: WeylElem
-    y: WeylElem
-    z: WeylElem
-    jvec: tuple
-    types: str
+    __slots__ = _fields = ("tag", "x", "y", "z", "jvec", "types")
 
     def __len__(self) -> int:
         return len(self.jvec)
@@ -80,19 +73,16 @@ class Subexpr:
         return f"Subexpr({list(self.jvec)}, {self.types})"
 
 
-@dataclass(frozen=True)
-class MuAssignment:
+class MuAssignment(Record):
     """Root-group parameters in display order (field codes)."""
 
-    field: Field
-    values: tuple
+    __slots__ = _fields = ("field", "values")
 
     def __repr__(self) -> str:
         return f"MuAssignment({list(self.values)})"
 
 
-@dataclass(frozen=True)
-class CosetRep:
+class CosetRep(Record):
     """One coset representative with both factorized shapes.
 
     uxu = (u, m, u2) and zuy = (zf, v, tail) are triples of GroupElems
@@ -102,17 +92,9 @@ class CosetRep:
     t_mu and t_zero are torus character pairs; t_zero is an involution.
     """
 
-    j: Subexpr
-    mu: MuAssignment
-    g: GroupElem
-    uxu: tuple
-    zuy: tuple
-    t_mu: tuple
-    t_zero: tuple
-    head_x: tuple
-    tail_x: tuple
-    head_z: tuple
-    tail_z: tuple
+    __slots__ = _fields = (
+        "j", "mu", "g", "uxu", "zuy", "t_mu", "t_zero", "head_x", "tail_x", "head_z", "tail_z"
+    )
 
 
 def _walk(tag: str, x: WeylElem, y: WeylElem, jvec) -> str:
@@ -377,7 +359,8 @@ def intersect(x, t_x, y, t_y, z, t_z, group: Group) -> list:
             if G.multiply(u, xtx, u2) != g:
                 raise AssertionError("factor shapes do not multiply back")
             zuy = (ztz, base.zuy[1], yty_inv)
-            out.append(replace(base, g=g, uxu=(u, xtx, u2), zuy=zuy, head_x=g.u, tail_x=g.u2))
+            out.append(CosetRep(base.j, base.mu, g, (u, xtx, u2), zuy, base.t_mu, base.t_zero,
+                                g.u, g.u2, base.head_z, base.tail_z))
     return out
 
 

@@ -19,11 +19,9 @@ the fixed lift word (checked in tests).
 ['1212', '212', '121', '']
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
+from operator import attrgetter
 
 
 class Cmp(IntEnum):
@@ -49,11 +47,42 @@ _DATA = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    tag: str
-    pos: tuple[tuple[int, int], ...]
-    cartan: tuple[tuple[int, int], ...]
+class Record:
+    """Immutable record over __slots__, built from its _fields in order, equal
+    and hashed by those named in the class keyword compare (default all)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None):
+        cls._key = attrgetter(*(compare or cls._fields))
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class RootSystem(Record):
+    __slots__ = _fields = ("tag", "pos", "cartan")
 
     @property
     def n_pos(self) -> int:
@@ -102,15 +131,15 @@ class RootSystem:
         return _DATA[self.tag]["norm"][(c1, c2)]
 
 
-@dataclass(frozen=True)
-class WeylElem:
+class WeylElem(Record, compare=("perm",)):
     """Group element as a permutation of root indices, plus canonical word."""
 
-    perm: tuple[int, ...]
-    word: tuple[int, ...] = field(compare=False)
+    _fields = ("perm", "word")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):  # dict keys: hash once, to the dataclass's value
-        object.__setattr__(self, "_hash", hash((self.perm,)))
+    def __init__(self, perm: tuple, word: tuple):
+        super().__init__(perm, word)
+        object.__setattr__(self, "_hash", hash((perm,)))  # dict keys: hash once
 
     def __hash__(self) -> int:
         return self._hash

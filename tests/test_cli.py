@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import tracemalloc
 from functools import lru_cache
@@ -175,8 +176,9 @@ def test_constants_build_only_ascending_rep_tables(monkeypatch, tmp_path, tag, p
 
 
 class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size and the most
-    results it held that were not yet taken, starts nothing."""
+    """Stands in for multiprocessing.Pool, which cli._pool imports when it
+    starts workers: records its size and the most results it held that were
+    not yet taken, starts nothing."""
 
     sizes = []
     peaks = []
@@ -222,7 +224,7 @@ class _Taken:
 def test_jobs_are_clamped(monkeypatch, tmp_path, cpus, jobs, flags, want):
     # verify-tables at A2/q=2 has 4 rows i: never more workers than CPUs or
     # rows, and a one-row slice still gets one worker when two could start
-    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -248,7 +250,7 @@ def test_verify_tables_through_a_real_pool(monkeypatch, tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("tag", ["A2", "B2"])
 def test_selections_match_full_table(monkeypatch, capsys, tag, jobs):
-    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
 
@@ -274,7 +276,7 @@ def test_selections_match_full_table(monkeypatch, capsys, tag, jobs):
 def test_verify_tables_keeps_a_window_of_rows(monkeypatch, tmp_path):
     # the 9 rows of A2/F_3 go to a pool of 2 with at most 4 closed-form rows
     # handed out and not yet taken, and the report is that of --jobs 1
-    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "peaks", [])
@@ -290,7 +292,7 @@ def test_verify_tables_keeps_a_window_of_rows(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_exit_2(monkeypatch, jobs, capsys):
-    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     for cmd in ("constants", "verify-tables"):
         assert run_cli([cmd, "--type", "A2", "--q", "2", "--jobs", jobs]) == 2
     assert "--jobs" in capsys.readouterr().err
@@ -461,7 +463,7 @@ def test_modulus_override(capsys):
 
 def test_unwritable_out_fails_before_the_sweep(monkeypatch, capsys):
     # --out is opened first, so no worker pool starts and no rep table is built
-    monkeypatch.setattr(cli, "Pool", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     bad = os.path.join(os.devnull, "x.json")

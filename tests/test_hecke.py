@@ -10,13 +10,14 @@ from gghecke.hecke import BasisElem, HeckeVec, hecke_algebra, standard_basis
 
 
 def test_basis_elem_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kind must be 0..3$"):
         BasisElem(5)
-    with pytest.raises(ValueError):
-        BasisElem(0, (1,))
-    with pytest.raises(ValueError):
-        BasisElem(3, (1,))
+    for kind, params in ((0, (1,)), (1, ()), (2, (1, 2)), (3, (1,))):
+        with pytest.raises(ValueError, match="^wrong parameter count for kind$"):
+            BasisElem(kind, params)
     assert repr(BasisElem(0, (1, 2))) == "e0(1,2)"
+    b = BasisElem(1, params=[2])
+    assert b.params == (2,) and type(b.params) is tuple
 
 
 def test_basis_elem_hash_and_equality():
@@ -46,6 +47,56 @@ def test_basis_shape(tag, q):
     assert len(by_kind[2]) == q - 1
     assert len(by_kind[3]) == 1
     assert len(set(H.basis)) == q * q
+
+
+def _whole_element_basis(H):
+    """The basis by the reference check: for every Weyl element w and torus
+    pair t, n = lift(w) torus(t) is kept when psi(n^{-1} u n) = psi(u),
+    through G.multiply, for every root-group generator u = u_k(c) of
+    U meet nUn^{-1}.  Returns the torus pairs per w and the (point, torus
+    pair) list in basis order."""
+    G, F, W = H.G, H.F, H.W
+    psi = H.char.value
+
+    def conj(ninv, u, n):
+        g = G.multiply(ninv, u, n)
+        assert not g.w.length() and g.t == (1, 1) and not any(g.u2), "conjugate left U"
+        return g
+
+    found = {}
+    for w in W.elements:
+        gens = [G.unipotent([c if i == k else 0 for i in range(1, G.N + 1)])
+                for k in range(1, G.N + 1) if k not in G.inv_set(W.inv(w))
+                for c in F.units()]
+        found[w] = []
+        for t in itertools.product(F.units(), repeat=2):
+            n = G.multiply(G.lift(w), G.torus(*t))
+            ninv = G.invert(n)
+            if all(psi(conj(ninv, u, n)) == psi(u) for u in gens):
+                found[w].append(t)
+    w0, w1, w2, w3 = H._bw
+    basis = ([(BasisElem(0, t), t) for t in sorted(found[w0])]
+             + [(BasisElem(1, t[1:]), t) for t in sorted(found[w1])]
+             + [(BasisElem(2, t[:1]), t) for t in sorted(found[w2])]
+             + [(BasisElem(3), t) for t in found[w3]])
+    return found, basis
+
+
+@pytest.mark.parametrize(
+    "tag,pf",
+    [("A2", pf) for pf in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]]
+    + [("B2", pf) for pf in [(3, 1), (5, 1), (7, 1), (3, 2)]]
+    + [pytest.param("A2", (5, 2), marks=pytest.mark.slow),
+       pytest.param("B2", (3, 3), marks=pytest.mark.slow)],
+)
+def test_basis_matches_whole_element_check(tag, pf):
+    # one conjugation per generator and a torus scaling find the same
+    # torus pairs, in the same order, as conjugating by each n = lift(w) t
+    H = hecke_algebra(tag, make_field(*pf))
+    found, basis = _whole_element_basis(H)
+    assert {w: H._compatible_tori(w) for w in H.W.elements} == found
+    assert H._compute_basis() == basis
+    assert [(b, H.point(b)[1]) for b in H.basis] == basis
 
 
 def test_algebra_is_cached():

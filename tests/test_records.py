@@ -1,0 +1,133 @@
+"""The immutable records of rootsys, intersect and hecke, and what importing
+the package loads."""
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import gghecke
+from gghecke.gf import make_field
+from gghecke.hecke import BasisElem
+from gghecke.intersect import (
+    CosetRep,
+    MuAssignment,
+    Subexpr,
+    build_rep,
+    distinguished_subexprs,
+)
+from gghecke.rootsys import RootSystem, WeylElem, root_system, weyl_group
+
+_A2_REP = (
+    "CosetRep(j=Subexpr([1, 2], CC), mu=MuAssignment([1, 1]),"
+    " g=GroupElem(u=(0, 0, 0), t=(1, 1), w=12, u2=(0, 0, 0)),"
+    " uxu=(GroupElem(u=(0, 0, 0), t=(1, 1), w=e, u2=(0, 0, 0)),"
+    " GroupElem(u=(0, 0, 0), t=(1, 1), w=12, u2=(0, 0, 0)),"
+    " GroupElem(u=(0, 0, 0), t=(1, 1), w=e, u2=(0, 0, 0))),"
+    " zuy=(GroupElem(u=(0, 0, 0), t=(1, 1), w=12, u2=(0, 0, 0)),"
+    " GroupElem(u=(0, 0, 0), t=(1, 1), w=e, u2=(0, 0, 0)),"
+    " GroupElem(u=(0, 0, 0), t=(1, 1), w=e, u2=(0, 0, 0))),"
+    " t_mu=(1, 1), t_zero=(1, 1), head_x=(0, 0, 0), tail_x=(0, 0, 0),"
+    " head_z=(0, 0, 0), tail_z=(0, 0, 0))"
+)
+
+
+def _sub():
+    """The one distinguished subexpression of x = w_1, y = e, z = w_1 in A2."""
+    W = weyl_group("A2")
+    _, w1, _, w3 = W.basis_elements()
+    (sub,) = distinguished_subexprs(w1, w3, w1)
+    return sub
+
+
+def _cases():
+    """record -> (two equal, not identical objects; an unequal one; the repr
+    of the first; the fields in constructor order)."""
+    F = make_field(2)
+    W = weyl_group("A2")
+    w = W.basis_elements()[0]
+    sub = _sub()
+    rep = build_rep(sub, MuAssignment(F, (1, 1)))
+    rep_fields = ("j", "mu", "g", "uxu", "zuy", "t_mu", "t_zero",
+                  "head_x", "tail_x", "head_z", "tail_z")
+    rs = root_system("A2")
+    twin_rep = [getattr(rep, n) for n in rep_fields]
+    return {
+        "RootSystem": ((root_system("A2"), RootSystem("A2", rs.pos, rs.cartan)), root_system("B2"),
+                       "RootSystem(tag='A2', pos=((1, 0), (0, 1), (1, 1)),"
+                       " cartan=((2, -1), (-1, 2)))", ("tag", "pos", "cartan")),
+        # equal by the permutation alone, whatever the word
+        "WeylElem": ((WeylElem(w.perm, w.word), WeylElem(w.perm, (2, 1, 2))), W.identity,
+                     "WeylElem(121)", ("perm", "word")),
+        "BasisElem": ((BasisElem(0, (1, 2)), BasisElem(0, [1, 2])), BasisElem(0, (2, 1)),
+                      "e0(1,2)", ("kind", "params")),
+        "Subexpr": ((sub, Subexpr("A2", sub.x, sub.y, sub.z, tuple(list(sub.jvec)), "CC")),
+                    Subexpr("A2", sub.x, sub.y, sub.z, (1, 0), "CB"), "Subexpr([1, 2], CC)",
+                    ("tag", "x", "y", "z", "jvec", "types")),
+        "MuAssignment": ((MuAssignment(F, (1, 1)), MuAssignment(F, tuple([1, 1]))),
+                         MuAssignment(F, (0, 1)), "MuAssignment([1, 1])", ("field", "values")),
+        "CosetRep": ((rep, CosetRep(*twin_rep)), CosetRep(*twin_rep[:-1], (1, 0, 0)),
+                     _A2_REP, rep_fields),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cases()))
+def test_record_is_an_immutable_value(name):
+    (a, b), other, text, fields = _cases()[name]
+    assert type(a).__name__ == name
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b
+    assert a != other and len({a, b, other}) == 2
+    assert a != tuple(getattr(a, n) for n in fields)
+    assert repr(a) == text
+    for n in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, n, getattr(b, n))
+        with pytest.raises(AttributeError):
+            delattr(a, n)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b  # nothing above changed a
+    twins = [copy.copy(a)]
+    if name != "CosetRep":  # its GroupElem fields do not pickle
+        twins += [copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+    for twin in twins:
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == text
+
+
+def test_build_rep_cache_hits_on_equal_keys():
+    F = make_field(2)
+    sub = _sub()
+    first = build_rep(sub, MuAssignment(F, (1, 1)))
+    hits = build_rep.cache_info().hits
+    twin = Subexpr(sub.tag, sub.x, sub.y, sub.z, tuple(list(sub.jvec)), sub.types)
+    assert twin is not sub
+    assert build_rep(twin, MuAssignment(F, (1, 1))) is first
+    assert build_rep.cache_info().hits == hits + 1
+
+
+_ADDED = (
+    "import sys; before = set(sys.modules); import {module};"
+    " print(' '.join(sorted(set(sys.modules) - before)))"
+)
+
+
+@pytest.mark.parametrize(
+    "module,absent",
+    [
+        ("gghecke.hecke", {"dataclasses", "inspect", "multiprocessing"}),
+        ("gghecke.cli", {"multiprocessing"}),
+    ],
+)
+def test_import_loads_no_heavy_modules(module, absent):
+    # a fresh interpreter, compared before and after the import, so whatever
+    # site preloads does not count; the CLI imports multiprocessing only where
+    # verify-tables starts workers
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gghecke.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _ADDED.format(module=module)], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert module in out
+    assert not absent & {m.partition(".")[0] for m in out}, out
