@@ -82,6 +82,9 @@ class GroupElem:
     def __setattr__(self, *a):
         raise AttributeError("GroupElem is immutable")
 
+    def __reduce__(self):
+        return GroupElem, (self.group, self.u, self.t, self.w, self.u2)
+
     def key(self):
         return (self.u, self.t, self.w.perm, self.u2)
 
@@ -156,6 +159,9 @@ class Group:
         self._lifts = {
             w: self.normal_form([("n", i, 1) for i in w.word]) for w in self.W.elements
         }
+
+    def __reduce__(self):  # copies and pickles are the one engine of the pair
+        return chevalley_group, (self.tag, self.F)
 
     # -- torus helpers ----------------------------------------------------------
 

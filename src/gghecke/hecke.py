@@ -146,9 +146,10 @@ class HeckeAlgebra:
         """The torus pairs t, in field order, with ^n psi = psi on U meet nUn^{-1}
         for n = lift(w) t, tested on its root-group generators u = u_k(c).  Each
         u is conjugated once: n^{-1} u n = t^{-1} v t for v = lift(w)^{-1} u lift(w)
-        in U, and t^{-1} u_k(x) t = u_k(x / chi_t(alpha_k)), so psi(n^{-1} u n)
-        is phi(v_1 / t_1 + v_2 / t_2) on v's simple-root coordinates."""
+        in U, and t^{-1} u_k(x) t = u_k(x / chi_t(alpha_k)), so psi(n^{-1} u n) =
+        psi(u) when Tr(v_1 / t_1 + v_2 / t_2) = Tr(u_1 + u_2), as phi = zeta^Tr."""
         G, F, roots = self.G, self.F, range(1, self.G.N + 1)
+        add, div, tr = F.add, F.div, F.trace
         lift = G.lift(w)
         linv, inverted = G.invert(lift), G.inv_set(self.W.inv(w))
         checks = []
@@ -157,11 +158,10 @@ class HeckeAlgebra:
             v = G.multiply(linv, u, lift)
             if v.w.length() or v.t != (1, 1) or any(v.u2):
                 raise AssertionError("conjugate left U")
-            checks.append((v.u[0], v.u[1], self.char.value(u)))
-        add, div, phi = F.add, F.div, self.char.phi_of
+            checks.append((v.u[0], v.u[1], tr(add(u.u[0], u.u[1]))))
         return [
             (t1, t2) for t1 in F.units() for t2 in F.units()
-            if all(phi(add(div(x1, t1), div(x2, t2))) == want for x1, x2, want in checks)
+            if all(tr(add(div(x1, t1), div(x2, t2))) == want for x1, x2, want in checks)
         ]
 
     def _compute_basis(self) -> list:

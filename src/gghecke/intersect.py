@@ -18,9 +18,10 @@ form, the U x U shape, we read off the unipotent head/tail and the torus
 t_mu; translating by lift(z)^{-1} exposes the z-side head/tail and the
 involutive correction torus t_0.  The toral condition then selects, for
 given (t_x, t_y, t_z), which (j, mu) land in the intersection.
-rep_entries, which fills the fast path's rep tables, extends shared
-prefixes of D_j(mu) by one letter at a time and derives most first
-parameters from parameter 1 by torus sandwiches, checking every leaf.
+rep_entries, which fills the fast path's rep tables, walks and checks one
+tuple per orbit of the torus T (Carter: a u_{-i}(m) = u_{-i}(chi_a(-alpha_i)
+m) a, a u_i(m) n_i = u_i(chi_a(alpha_i) m) n_i s_i(a)), extending shared
+prefixes of D_j(mu) a letter at a time, and scales it over the orbit.
 build_rep, behind intersect() and the tests, rewrites each word twice
 (once with the B-position factors through positive root elements) to
 cross-check the relation tables, and multiplies both factorized shapes
@@ -28,7 +29,7 @@ back.
 """
 
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import product
 
 from .chevalley import Group, GroupElem, chevalley_group
 from .gf import Field
@@ -216,84 +217,82 @@ def _checked(G: Group, sub: Subexpr, g: GroupElem, h: GroupElem) -> tuple:
     return (G.chi_at(g.t, W.act(sub.x, 1)), G.chi_at(g.t, W.act(sub.x, 2))), t_zero
 
 
-def _sandwich(G: Group, a: tuple, w: WeylElem, b: tuple):
-    """g -> a g b in normal form for g in the cell of w, tori a, b as character
-    pairs: a u t n_w u' b = (a u a^-1) (a t w(b)) n_w (b^-1 u' b) scales the
-    coordinates of u by chi_a, of u' by 1 / chi_b and t by a w(b)."""
-    mul, W, N = G.F.mul, G.W, G.N
-    ra = [G.chi_at(a, k) for k in range(1, N + 1)]
-    rb = [G.chi_at(b, k + N) for k in range(1, N + 1)]
-    t = [mul(a[j], G.chi_at(b, W.act(W.inv(w), j + 1))) for j in (0, 1)]
-    return lambda g: GroupElem(
-        G, list(map(mul, g.u, ra)), tuple(map(mul, g.t, t)), w, list(map(mul, g.u2, rb)))
+@lru_cache(maxsize=None)
+def _orbit_table(G: Group, beta: int, kernel: tuple) -> list:
+    """Per unit u, the least code r = u / chi_s(beta) over the tori s with chi_s = 1
+    on the roots in kernel (those fixing the earlier nonzero parameters), and one
+    such s: the identity when r = u."""
+    F, first = G.F, {}
+    for s in product(F.units(), repeat=2):  # (1, 1) first
+        if all(G.chi_at(s, b) == 1 for b in kernel):
+            first.setdefault(G.chi_at(s, beta), s)
+    return [None] + [min((F.div(u, c), s) for c, s in first.items()) for u in F.units()]
 
 
-def _rescaled(G: Group, sub: Subexpr, doms: list, m: int, unit: dict):
-    """The leaf pairs (g, h) of first parameter m from unit, those of 1 keyed by
-    the later parameters.  h_m, with chi(alpha_i) = m at an A letter i, 1/m at
-    a B letter and 1 at the other simple root, gives h_m u_i(1) n_i = u_i(m)
-    n_i s_i(h_m) and h_m u_{-i}(1) = u_{-i}(m) h_m.  Pushed on (Carter, Simple
-    Groups of Lie Type) by h u_{-k}(c) = u_{-k}(chi_h(-alpha_k) c) h, h u_k(c)
-    n_k = u_k(chi_h(alpha_k) c) n_k s_k(h) and h n_k = n_k s_k(h), it scales
-    each parameter and ends as h_end: D_j(m, nu) = h_m D_j(1, nu / scales)
-    h_end^-1, and n_z^-1 h_m = z^-1(h_m) n_z^-1."""
-    F, W, N = G.F, G.W, G.N
-    r = m if sub.types[0] == "A" else F.inv(m)
-    h_m = h = (r, 1) if sub.x.word[0] == 1 else (1, r)
-    src = []
-    for k, (i, c, dom) in enumerate(zip(sub.x.word, sub.types, doms)):
-        scale = G.chi_at(h, i + N if c == "B" else i)
-        if k:
-            src.append(dom if c == "C" else [F.div(v, scale) for v in dom])
+def _orbit_roots(G: Group, sub: Subexpr) -> tuple:
+    """Pushing a torus a through D_j(mu) gives D_j(a.mu) = a D_j(mu) e^-1: returns the
+    roots beta_k of a's scales at A and B (None at C), then z, w, x, z y^-1 of alpha_1,
+    alpha_2, for w the product of the A and C letters (so chi_e = chi_a o w)."""
+    W, N = G.W, G.N
+    betas, w = [], W.identity
+    for i, c in zip(sub.x.word, sub.types):
+        betas.append(None if c == "C" else W.act(w, i + N if c == "B" else i))
         if c != "B":
-            h = tuple(G.chi_at(h, W.act(W.simple(i), j)) for j in (1, 2))
-    end = (F.inv(h[0]), F.inv(h[1]))
-    zh = tuple(G.chi_at(h_m, W.act(sub.z, j)) for j in (1, 2))
-    to_g, to_h = _sandwich(G, h_m, sub.x, end), _sandwich(G, zh, W.inv(sub.y), end)
-    return ((to_g(g), to_h(h)) for g, h in map(unit.__getitem__, product(*src)))
+            w = W.mult(w, W.simple(i))
+    zy = W.mult(sub.z, W.inv(sub.y))
+    return betas, [W.act(v, j) for v in (sub.z, w, sub.x, zy) for j in (1, 2)]
+
+
+def _torus_factors(G: Group, roots: list, a: tuple) -> tuple:
+    """From a leaf of mu to one of a.mu: a (u t n_x u') e^-1 = (a u a^-1) (a t x(e^-1))
+    n_x (e u' e^-1) and h -> z^-1(a) h e^-1 scale u by a, h's head by z^-1(a), both tails
+    by e, t_mu by chi_a(x alpha_j) / e_j, t_zero by chi_a(zy^-1 alpha_j) / e_j (1: w = zy^-1)."""
+    div, chi = G.F.div, G.chi_at
+    z1, z2, e1, e2, x1, x2, y1, y2 = (chi(a, k) for k in roots)
+    return (*a, z1, z2, e1, e2, div(x1, e1), div(x2, e2), div(y1, e1), div(y2, e2))
 
 
 def rep_entries(sub: Subexpr, field: Field):
-    """(t_zero, t_mu, entry) for every mu of sub, in mu_assignments order.
-    A depth-first walk extends the normal forms of a prefix p of D_j(mu)
-    and of n_z^{-1} p by one letter per node; at a leaf they are build_rep's
-    g and h, since normal forms are unique.  Under a first letter A or B it
-    walks first parameters 0 and 1 only, and _rescaled derives the others;
-    every leaf passes _checked.  The entry is (Tr(head_z[0] + head_z[1]),
-    head_x[0], head_x[1], tail_x - tail_z on the simple roots)."""
+    """(t_zero, t_mu, entry) for every mu of sub, in mu_assignments order, with entry =
+    (Tr(head_z[0] + head_z[1]), head_x[0], head_x[1], tail_x - tail_z on simple roots).
+    Each T-orbit's first tuple r (see _orbit_table) is walked, the normal forms of D_j(r)
+    and n_z^{-1} D_j(r) growing a letter per trie node; they pass _checked.  Each mu =
+    a.r scales r's coordinates by a's _torus_factors; its t_zero must be an involution."""
     G = chevalley_group(sub.tag, field)
-    F = field
+    F, mul, one = field, field.mul, (1, 1)
     doms = _domains(sub.types, F)
-    word = zip(sub.x.word, sub.types, doms)
-    letters = [[_letter(G, i, c, m) for m in dom] for i, c, dom in word]
+    letters = [[_letter(G, i, c, m) for m in d] for i, c, d in zip(sub.x.word, sub.types, doms)]
+    betas, roots = _orbit_roots(G, sub)
+    reps, factors = {}, {}
 
-    def walk(k, g, h):
-        if k < len(letters):
-            for atoms in letters[k]:
-                yield from walk(k + 1, G.normal_form(atoms, g), G.normal_form(atoms, h))
-        else:
-            yield g, h
+    def walk(k, gh, a, kernel, r):
+        # mu's prefix is a.r; gh, the normal forms of the prefix, is kept while a = 1
+        if k == len(letters):
+            if gh:
+                g, h = gh
+                t_mu, t_zero = _checked(G, sub, g, h)
+                # delta_coords is additive: tail_x tail_z^-1 has coordinates tail_x - tail_z
+                reps[r] = (t_zero, t_mu, h.u[0], h.u[1], g.u[0], g.u[1],
+                           F.sub(g.u2[0], h.u2[0]), F.sub(g.u2[1], h.u2[1]))
+            f = factors.get(a) or factors.setdefault(a, _torus_factors(G, roots, a))
+            a1, a2, z1, z2, e1, e2, m1, m2, o1, o2 = f
+            t0, tmu, hu1, hu2, gu1, gu2, dw1, dw2 = reps[r]
+            t0 = t0 if o1 == o2 == 1 else (mul(t0[0], o1), mul(t0[1], o2))
+            if mul(t0[0], t0[0]) != 1 or mul(t0[1], t0[1]) != 1:
+                raise AssertionError("correction torus is not an involution")
+            dv = F.trace(F.add(mul(z1, hu1), mul(z2, hu2)))
+            yield t0, (mul(tmu[0], m1), mul(tmu[1], m2)), (
+                dv, mul(a1, gu1), mul(a2, gu2), mul(e1, dw1), mul(e2, dw2))
+            return
+        if beta := betas[k]:  # None at a C letter, whose parameter is 1
+            tbl, inv_scale = _orbit_table(G, beta, kernel), F.inv(G.chi_at(a, beta))
+        for v, atoms in zip(doms[k], letters[k]):
+            rv, s = tbl[mul(v, inv_scale)] if beta and v else (v, one)
+            b = a if s == one else (mul(a[0], s[0]), mul(a[1], s[1]))
+            step = tuple(G.normal_form(atoms, p) for p in gh) if gh and b is a else None
+            yield from walk(k + 1, step, b, kernel + (beta,) if beta and v else kernel, r + (rv,))
 
-    def leaf(g, h):
-        t_mu, t_zero = _checked(G, sub, g, h)
-        # delta_coords is a homomorphism U -> F_q^2, so the simple-root
-        # coordinates of tail_x * tail_z^{-1} are differences
-        dv = F.trace(F.add(h.u[0], h.u[1]))
-        return t_zero, t_mu, (dv, g.u[0], g.u[1], F.sub(g.u2[0], h.u2[0]), F.sub(g.u2[1], h.u2[1]))
-
-    root = (G.identity(), _lift_inverse(G, sub.z))
-    if sub.types[:1] not in ("A", "B"):
-        yield from starmap(leaf, walk(0, *root))
-        return
-    for m, atoms in zip(doms[0], letters[0]):
-        if m > 1:  # domains count up from 0, so unit holds the leaves of 1 by now
-            pairs = _rescaled(G, sub, doms, m, unit)
-        else:
-            pairs = walk(1, *(G.normal_form(atoms, e) for e in root))
-            if m == 1:
-                unit = dict(zip(product(*doms[1:]), pairs))
-                pairs = unit.values()
-        yield from starmap(leaf, pairs)
+    yield from walk(0, (G.identity(), _lift_inverse(G, sub.z)), one, (), ())
 
 
 @lru_cache(maxsize=None)

@@ -4,13 +4,14 @@ The extraction fixtures pin the exact coordinates of every factor of the
 representatives for the three length-4 walks, over several fields, against
 hand-worked values.
 """
+import functools
 import itertools
 import random
 
 import pytest
 
 from gghecke import intersect as intersect_mod
-from gghecke.chevalley import GroupElem, chevalley_group
+from gghecke.chevalley import chevalley_group
 from gghecke.gf import make_field
 from gghecke.intersect import (
     MuAssignment,
@@ -272,11 +273,12 @@ def test_build_rep_matches_uncached_derivations(tag, q, reps):
     ids=["A2-4", "A2-7", "A2-8", "A2-9", "B2-3", "B2-5", "B2-9"],
 )
 def test_rep_entries_match_build_rep(tag, pf, reps):
-    # rep_entries extends the prefixes of D_j(mu) one letter at a time and
-    # derives most first parameters from the leaves of parameter 1 by a
-    # torus sandwich; build_rep rewrites the whole word, twice, and
-    # multiplies both shapes back.  Every representative of every kind
-    # pattern goes through both, in order.
+    # rep_entries walks one tuple per torus orbit, extending the prefixes of
+    # D_j(mu) one letter at a time, and scales its coordinates for the rest
+    # of the orbit; build_rep rewrites the whole word, twice, and multiplies
+    # both shapes back.  Every representative of every kind pattern goes
+    # through both, in order, so the cell checks that derived entries skip
+    # are made here for each of them.
     F = make_field(*pf)
     b = weyl_group(tag).basis_elements()
     count = 0
@@ -293,70 +295,109 @@ def test_rep_entries_match_build_rep(tag, pf, reps):
     assert count == reps, count
 
 
-def _random_elem(G, rng):
-    """A uniformly random normal form u t n_w u' of G."""
-    F = G.F
-    w = rng.choice(G.W.elements)
-    u2 = [rng.randrange(F.q) if k in G.inv_set(w) else 0 for k in range(1, G.N + 1)]
-    t = (rng.randrange(1, F.q), rng.randrange(1, F.q))
-    return GroupElem(G, [rng.randrange(F.q) for _ in range(G.N)], t, w, u2)
+def _atoms(N, i, c, m):
+    """Letter i of type B or A with parameter m, as engine atoms."""
+    return [("u", i + N, m)] if c == "B" else [("u", i, m), ("n", i, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_push(G, x, types, a):
+    """A torus a pushed left to right through the word of x by the rewriting
+    engine alone: at each letter L, a' = n_i^-1 a n_i (a at B), and
+    a L(1) a'^-1 is looked up among the normal forms of L(s).  Returns the
+    scales s of the A and B positions, and the end torus e with
+    a D_j(mu) e^-1 = D_j(scaled mu)."""
+    scales = []
+    for i, c in zip(x.word, types):
+        n = G.lift(G.W.simple(i))
+        after = G.multiply(G.invert(n), G.torus(*a), n) if c != "B" else G.torus(*a)
+        assert after == G.torus(*after.t)
+        if c != "C":
+            lhs = G.multiply(G.torus(*a), G.normal_form(_atoms(G.N, i, c, 1)), G.invert(after))
+            (s,) = [s for s in G.F.units() if G.normal_form(_atoms(G.N, i, c, s)) == lhs]
+            scales.append(s)
+        a = after.t
+    return scales, a
+
+
+def _scaled(F, sub, scales, values):
+    it = iter(scales)
+    return tuple(v if c == "C" else F.mul(next(it), v) for c, v in zip(sub.types, values))
 
 
 @pytest.mark.parametrize(
-    "tag,pf,sample", [("A2", (3,), None), ("A2", (2, 2), 2000), ("B2", (5,), 2000)],
+    "tag,pf,sample", [("A2", (3,), None), ("A2", (2, 2), None), ("B2", (5,), 600)],
     ids=["A2-3", "A2-4", "B2-5"],
 )
 def test_sandwich_matches_multiply(tag, pf, sample):
-    # the closed form of a g b for tori a, b, which derives the rep-table
-    # leaves of every first parameter other than 0 and 1, against the
-    # rewriting engine: at every normal form of A2/F_3, and at a seeded
-    # sample in characteristic 2 and in B2
+    # D_j(a.mu) = a D_j(mu) e^-1, read off the rewriting engine, against the
+    # scales and per-torus factors that derive every rep-table entry off an
+    # orbit representative: at every (subexpression, mu) of A2/F_3 and A2/F_4
+    # and at a seeded sample of B2/F_5, each with the identity and three tori
     F = make_field(*pf)
     G = chevalley_group(tag, F)
     rng = random.Random(15)
     units = list(F.units())
-    tori = [((1, 1), (1, 1))] + [
-        tuple((rng.choice(units), rng.choice(units)) for _ in "ab") for _ in range(3)
-    ]
-    if sample is None:
-        elems = list(G.iter_elements())
-    else:
-        elems = [_random_elem(G, rng) for _ in range(sample)]
-    for a, b in tori:
-        maps = {w: intersect_mod._sandwich(G, a, w, b) for w in G.W.elements}
-        ta, tb = G.torus(*a), G.torus(*b)
-        for g in elems:
-            assert maps[g.w](g) == G.multiply(ta, g, tb), (a, g, b)
+    b = G.W.basis_elements()
+    leaves = [(sub, mu) for x, y, z in itertools.product(b, repeat=3)
+              for sub in distinguished_subexprs(x, y, z) for mu in mu_assignments(sub, F)]
+    if sample is not None:
+        leaves = rng.sample(leaves, sample)
+    mul = F.mul
+    for sub, mu in leaves:
+        betas, roots = intersect_mod._orbit_roots(G, sub)
+        r = build_rep(sub, mu)
+        for a in [(1, 1)] + [(rng.choice(units), rng.choice(units)) for _ in range(3)]:
+            scales, e = _engine_push(G, sub.x, sub.types, a)
+            assert [G.chi_at(a, k) for k in betas if k] == scales, (sub, a)
+            s = build_rep(sub, MuAssignment(F, _scaled(F, sub, scales, mu.values)))
+            assert G.multiply(G.torus(*a), r.g, G.invert(G.torus(*e))) == s.g
+            a1, a2, z1, z2, e1, e2, m1, m2, o1, o2 = intersect_mod._torus_factors(G, roots, a)
+            assert (a1, a2, e1, e2) == (*a, *e), (sub, a)
+            assert (mul(a1, r.head_x[0]), mul(a2, r.head_x[1])) == s.head_x[:2]
+            assert (mul(z1, r.head_z[0]), mul(z2, r.head_z[1])) == s.head_z[:2]
+            for j, ej in enumerate((e1, e2)):
+                assert mul(ej, F.sub(r.tail_x[j], r.tail_z[j])) == F.sub(s.tail_x[j], s.tail_z[j])
+            assert (mul(r.t_mu[0], m1), mul(r.t_mu[1], m2)) == s.t_mu
+            assert (mul(r.t_zero[0], o1), mul(r.t_zero[1], o2)) == s.t_zero
 
 
-def test_rep_entries_check_every_leaf(monkeypatch):
-    # derived leaves skip the rewriting engine but not the leaf checks:
-    # one _checked call per yielded entry, and one sandwich for g and one
-    # for h per leaf whose first letter is A or B with a parameter other
-    # than 0 and 1
-    F = make_field(5)
-    calls = {"_checked": 0, "_sandwich": 0}
-
-    def count(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
-    monkeypatch.setattr(intersect_mod, "_checked", count("_checked", intersect_mod._checked))
-    sandwich = intersect_mod._sandwich
-    monkeypatch.setattr(
-        intersect_mod, "_sandwich", lambda *args: count("_sandwich", sandwich(*args))
-    )
-    b = weyl_group("B2").basis_elements()
-    entries = derived = 0
+@pytest.mark.parametrize("tag,pf,orbits", [("A2", (2, 2), 66), ("B2", (5,), 244)],
+                         ids=["A2-4", "B2-5"])
+def test_rep_entries_walk_one_leaf_per_orbit(monkeypatch, tag, pf, orbits):
+    # rep_entries walks, and checks through _checked, exactly the first tuple
+    # of each T-orbit in mu_assignments order; the orbits are counted here by
+    # brute force from the scales that _engine_push reads off the rewriting
+    # engine.  Every t_zero it yields is an involution.
+    F = make_field(*pf)
+    G = chevalley_group(tag, F)
+    calls = []
+    checked = intersect_mod._checked
+    monkeypatch.setattr(intersect_mod, "_checked", lambda *args: calls.append(1) or checked(*args))
+    tori = list(itertools.product(F.units(), repeat=2))
+    b = G.W.basis_elements()
+    total = 0
     for x, y, z in itertools.product(b, repeat=3):
         for sub in distinguished_subexprs(x, y, z):
-            before = calls["_checked"]
-            n = sum(1 for _ in rep_entries(sub, F))
-            assert calls["_checked"] - before == n, sub
-            entries += n
-            if sub.types[:1] in ("A", "B"):
-                derived += sum(1 for mu in mu_assignments(sub, F) if mu.values[0] > 1)
-    assert entries == 3338 and calls["_checked"] == entries
-    assert derived and calls["_sandwich"] == 2 * derived
+            pushes = [_engine_push(G, sub.x, sub.types, a)[0] for a in tori]
+            want = sum(1 for mu in mu_assignments(sub, F) if mu.values == min(
+                _scaled(F, sub, scales, mu.values) for scales in pushes))
+            before = len(calls)
+            for t0, _, _ in rep_entries(sub, F):
+                assert F.mul(t0[0], t0[0]) == 1 and F.mul(t0[1], t0[1]) == 1
+            assert len(calls) - before == want, sub
+            total += want
+    assert total == len(calls) == orbits
+
+
+def test_derived_t_zero_is_checked(monkeypatch):
+    # the involution check on every yielded t_zero is live: a factor that
+    # moves t_zero off the involutions (2^2 = 4 in F_5) must raise
+    F = make_field(5)
+    factors = intersect_mod._torus_factors
+    monkeypatch.setattr(intersect_mod, "_torus_factors",
+                        lambda *args: factors(*args)[:8] + (F.of(2), 1))
+    w0 = weyl_group("B2").basis_elements()[0]
+    for sub in distinguished_subexprs(w0, w0, w0):
+        with pytest.raises(AssertionError, match="not an involution"):
+            list(rep_entries(sub, F))

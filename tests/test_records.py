@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import gghecke
+from gghecke.chevalley import chevalley_group
 from gghecke.gf import make_field
 from gghecke.hecke import BasisElem
 from gghecke.intersect import (
@@ -90,11 +91,22 @@ def test_record_is_an_immutable_value(name):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b  # nothing above changed a
-    twins = [copy.copy(a)]
-    if name != "CosetRep":  # its GroupElem fields do not pickle
-        twins += [copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
-    for twin in twins:
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a and hash(twin) == hash(a) and repr(twin) == text
+
+
+def test_group_elem_copies_and_pickles():
+    # a GroupElem is rebuilt on the one cached engine of its (type, field),
+    # over a field given by value; the copy is as immutable as the original
+    G = chevalley_group("B2", make_field(3, 2))
+    g = G.multiply(G.lift(G.W.longest()), G.torus(2, 3), G.unipotent((1, 0, 4, 0)))
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert twin.group is G
+        assert G.multiply(twin, G.invert(g)) == G.identity()
+        with pytest.raises(AttributeError):
+            twin.u = g.u
+    assert pickle.loads(pickle.dumps(G)) is G and copy.deepcopy(G) is G
 
 
 def test_build_rep_cache_hits_on_equal_keys():
