@@ -58,7 +58,7 @@ def _field_of(args) -> Field:
     else:
         _usage("one of --q or --p is required")
     modulus = None
-    if args.modulus:
+    if args.modulus is not None:
         modulus = tuple(int(c) for c in args.modulus.split(","))
     return make_field(p, f, modulus)
 
@@ -73,9 +73,8 @@ def _algebra_of(args) -> HeckeAlgebra:
 
 def _parse_point(text: str) -> BasisElem:
     kind_s, _, params_s = text.partition(":")
-    kind = int(kind_s)
-    params = tuple(int(t) for t in params_s.split(",") if t != "")
-    return BasisElem(kind, params)
+    params = tuple(int(t) for t in params_s.split(",")) if params_s else ()
+    return BasisElem(int(kind_s), params)
 
 
 def _point_str(b: BasisElem) -> str:
@@ -206,7 +205,7 @@ def _chosen(H: HeckeAlgebra, args) -> list:
     basis = sorted(H.basis, key=_point_str)
     out = []
     for text in (args.i, args.j, args.k):
-        if text:
+        if text is not None:
             b = _parse_point(text)
             H.point(b)  # parameters outside F_q^x are a usage error, not a 0
             out.append([b])

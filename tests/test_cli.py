@@ -13,7 +13,7 @@ from gghecke import cli
 from gghecke.chevalley import chevalley_group
 from gghecke.cyclo import CycloNum
 from gghecke.gf import make_field
-from gghecke.hecke import HeckeAlgebra
+from gghecke.hecke import BasisElem, HeckeAlgebra
 from gghecke.intersect import intersect, rep_to_dict
 from gghecke.rootsys import weyl_group
 
@@ -399,6 +399,13 @@ def test_sums(capsys):
         # a point outside F_q^x is an error, not a row lookup that reads 0
         ["constants", "--type", "A2", "--q", "3", "--k", "1:7"],
         ["verify-tables", "--type", "A2", "--q", "3", "--i", "0:1,9"],
+        # an empty point, parameter or modulus is malformed, not absent
+        ["constants", "--type", "A2", "--q", "2", "--i", ""],
+        ["verify-tables", "--type", "A2", "--q", "2", "--j", ""],
+        ["verify-oracle", "--type", "A2", "--q", "2", "--k", ""],
+        ["constants", "--type", "A2", "--q", "3", "--j", "1:1,"],
+        ["constants", "--type", "A2", "--q", "3", "--k", "0:,1,1"],
+        ["basis", "--type", "A2", "--p", "2", "--f", "2", "--modulus", ""],
         ["sums", "--q", "3", "--kloosterman", "1,2"],
         ["sums", "--q", "3", "--kloosterman", "nope"],
         # each flag is attached only to the subcommands that read it
@@ -439,6 +446,17 @@ def test_usage_errors_exit_2(argv, capsys):
         assert captured.out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("flag,text", [("--i", ""), ("--j", "1:1,"), ("--k", "0:,1,1"),
+                                       ("--modulus", "")])
+def test_malformed_flags_write_no_out(tmp_path, flag, text):
+    f = tmp_path / "t.json"
+    for cmd in ("constants", "verify-tables"):
+        assert run_cli([cmd, "--type", "A2", "--q", "3", flag, text, "--out", str(f)]) == 2
+        assert not f.exists()
+    # an empty parameter list is the unit's, with or without the colon
+    assert cli._parse_point("3:") == cli._parse_point("3") == BasisElem(3)
 
 
 @pytest.mark.parametrize("spec", ["1,1,5,1", "1,7,1,1", "1,-1,1,1"])

@@ -1,5 +1,6 @@
 """The immutable records of rootsys, intersect and hecke, and what importing
 the package loads."""
+import ast
 import copy
 import os
 import pickle
@@ -126,20 +127,64 @@ _ADDED = (
 )
 
 
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(gghecke.__file__)))
+
+
+def _fresh(code: str) -> list:
+    """The words that code prints in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
 @pytest.mark.parametrize(
     "module,absent",
     [
-        ("gghecke.hecke", {"dataclasses", "inspect", "multiprocessing"}),
-        ("gghecke.cli", {"multiprocessing"}),
+        ("gghecke.hecke", {"dataclasses", "inspect", "multiprocessing", "gghecke.formulas"}),
+        ("gghecke.cli", {"multiprocessing", "gghecke.formulas"}),
     ],
 )
 def test_import_loads_no_heavy_modules(module, absent):
     # a fresh interpreter, compared before and after the import, so whatever
     # site preloads does not count; the CLI imports multiprocessing only where
-    # verify-tables starts workers
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gghecke.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", _ADDED.format(module=module)], env=env,
-                         capture_output=True, text=True, check=True).stdout.split()
+    # verify-tables starts workers, and the closed forms only where one is asked for
+    out = _fresh(_ADDED.format(module=module))
     assert module in out
-    assert not absent & {m.partition(".")[0] for m in out}, out
+    assert not absent & ({m.partition(".")[0] for m in out} | set(out)), out
+
+
+_RUN = (
+    "import sys; from gghecke.cli import run;"
+    " rc = run({argv!r}); print(rc, 'gghecke.formulas' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["constants", "--type", "B2", "--q", "3", "--out", os.devnull], "False"),
+        (["verify-tables", "--type", "B2", "--q", "3", "--jobs", "1", "--out", os.devnull], "True"),
+    ],
+)
+def test_only_closed_forms_load_the_formulas(argv, loaded):
+    assert _fresh(_RUN.format(argv=argv)) == ["0", loaded]
+
+
+def test_formulas_import_no_other_route():
+    # the closed forms are a route of their own: they may read the field and
+    # the cyclotomic arithmetic, never intersect, chevalley or hecke
+    path = os.path.join(_SRC, "gghecke", "formulas.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                found.add(node.module)
+            elif node.module:
+                found.add(f"gghecke.{node.module}")
+            else:
+                found.update(f"gghecke.{a.name}" for a in node.names)
+    assert found and found <= {"gghecke.cyclo", "gghecke.gf"}, found
