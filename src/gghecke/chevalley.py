@@ -44,7 +44,7 @@ from functools import lru_cache
 from itertools import product
 
 from .gf import Field
-from .rootsys import RootSystem, WeylElem, WeylGroup, root_system, weyl_group
+from .rootsys import Record, RootSystem, WeylElem, WeylGroup, root_system, weyl_group
 
 # eta[(i, idx)] with n_i u_idx(c) n_i^{-1} = u_{s_i idx}(eta c); root indices
 # as in rootsys (1..N positive, N+1..2N their negatives)
@@ -62,10 +62,10 @@ _ETA = {
 }
 
 
-class GroupElem:
+class GroupElem(Record, compare=("u", "t", "w", "u2")):
     """Bruhat normal form u * t * n_w * u'.  Immutable."""
 
-    __slots__ = ("group", "u", "t", "w", "u2")
+    __slots__ = _fields = ("group", "u", "t", "w", "u2")
 
     def __init__(self, group: "Group", u, t, w: WeylElem, u2):
         inv = group.inv_set(w)
@@ -73,26 +73,10 @@ class GroupElem:
             raise ValueError("u' has support outside the inversion set")
         if t[0] == 0 or t[1] == 0:
             raise ValueError("torus coordinates must be units")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "u", tuple(u))
-        object.__setattr__(self, "t", tuple(t))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "u2", tuple(u2))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GroupElem is immutable")
-
-    def __reduce__(self):
-        return GroupElem, (self.group, self.u, self.t, self.w, self.u2)
+        super().__init__(group, tuple(u), tuple(t), w, tuple(u2))
 
     def key(self):
         return (self.u, self.t, self.w.perm, self.u2)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElem) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return (

@@ -28,7 +28,6 @@ from .cyclo import CycloNum, gauss_sum, kloosterman
 from .gf import _MAX_Q, Field, field_from_dict, make_field
 from .hecke import BasisElem, HeckeAlgebra, hecke_algebra
 from .intersect import intersect, left_coset_key, rep_to_dict
-from .oracle import DEFAULT_BUDGET, BudgetExceeded, brute_constant, brute_intersect
 
 __all__ = ["run", "main", "emit"]
 
@@ -98,7 +97,7 @@ class _Doc:
     values split(item) gives, encoded together.  JSON writes a record's keys
     sorted and CSV its cells in header order, so a field's keys are adjacent
     in both.  Each distinct item of a field is encoded once, into that field's
-    memo; a CycloNum is keyed by its coefficient tuple, which hashes in C."""
+    memo."""
 
     def __init__(self, fmt: str, fields: list):
         fields = [((f,), lambda v: (v,)) if isinstance(f, str) else f for f in fields]
@@ -110,7 +109,7 @@ class _Doc:
         self.fields = [(n, {}, self._encoder(*fields[n])) for n in order]
 
     def _encoder(self, keys: tuple, split):
-        opts = {"sort_keys": True, "default": CycloNum.to_dict}
+        opts = {"sort_keys": True}
         if self.fmt == "csv":
             return lambda item: _csv_cells(
                 v if isinstance(v, str) else json.dumps(v, **opts) for v in split(item)
@@ -125,13 +124,12 @@ class _Doc:
 
 def _texts(col: tuple, memo: dict, enc) -> list:
     """The encoded items of one field over a chunk of rows."""
-    keys = [v.coeffs for v in col] if type(col[0]) is CycloNum else col
     try:
-        return list(map(memo.__getitem__, keys))
+        return list(map(memo.__getitem__, col))
     except KeyError:
-        memo.update((key, enc(v)) for key, v in zip(keys, col) if key not in memo)
-        return list(map(memo.__getitem__, keys))
-    except TypeError:  # lists and dicts (intersect's few records) go unmemoized
+        memo.update((v, enc(v)) for v in col if v not in memo)
+        return list(map(memo.__getitem__, col))
+    except TypeError:  # lists and dicts (the few records of intersect and sums) go unmemoized
         return [enc(v) for v in col]
 
 
@@ -230,12 +228,12 @@ _PIECE = 1 << 12
 def _formulas(payload) -> list:
     """Closed forms of one piece of row i: one list over K for each j of the
     run, of coefficient tuples.  Points come as their positions in H.basis,
-    and tuples go back: both pickle in C."""
+    and plain tuples go back: both pickle in C."""
     tag, fdict, i, run, K = payload
     H = hecke_algebra(tag, field_from_dict(fdict))
     B = H.basis
     i, K = B[i], [B[k] for k in K]
-    return [[H.table_formula(i, B[j], k).coeffs for k in K] for j in run]
+    return [[tuple(H.table_formula(i, B[j], k)) for k in K] for j in run]
 
 
 def _ordered(pool, fn, items, window: int):
@@ -265,7 +263,7 @@ def _pool(jobs: int, rows: int):
 
 
 # constants' render and value columns, both encoded from one CycloNum
-_CONSTANT = (("render", "value"), lambda s: (s.render(), s))
+_CONSTANT = (("render", "value"), lambda s: (s.render(), s.to_dict()))
 
 
 def _cmd_constants(args) -> int:
@@ -284,7 +282,7 @@ def _cmd_constants(args) -> int:
                 if row is None:
                     row = _row(H, *((i, j) if i.kind <= j.kind else (j, i)), K)
                     if mirrored and c > r:
-                        held[c, r] = [same.setdefault(s.coeffs, s) for s in row]
+                        held[c, r] = [same.setdefault(s, s) for s in row]
                 write(zip(repeat(name[i]), repeat(name[j]), ks, row))
     return 0
 
@@ -317,7 +315,7 @@ def _cmd_verify_tables(args) -> int:
         for (i, run), table in zip(pieces, tables):
             for j, trow in zip(run, table):
                 for k, a, t in zip(K, _row(H, i, j, K), trow):
-                    if a.coeffs != t:
+                    if a != t:
                         reps = intersect(*H.point(i), *H.point(j), *H.point(k), group=H.G)
                         found = {"algorithm": a.render(), "table": CycloNum(H.F.p, t).render()}
                         mismatches.append(_mismatch(reps, i, j, k, found))
@@ -325,17 +323,20 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_verify_oracle(args) -> int:
+    from .oracle import DEFAULT_BUDGET, brute_constant, brute_intersect
+
     H = _algebra_of(args)
     G = H.G
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     I, J, K = _chosen(H, args)
     mismatches = []
     with _output(args) as fh:
         for i, j in product(I, J):
             for k, a in zip(K, _row(H, i, j, K)):
-                b = brute_constant(H, i, j, k, mode=1, budget=args.budget)
+                b = brute_constant(H, i, j, k, mode=1, budget=budget)
                 points = [H.point(t) for t in (i, j, k)]
                 lifts = [(G.lift(w), G.torus(*t)) for w, t in points]
-                brute_keys = set(brute_intersect(*lifts, G, budget=args.budget))
+                brute_keys = set(brute_intersect(*lifts, G, budget=budget))
                 reps = intersect(*points[0], *points[1], *points[2], group=G)
                 algo_keys = {left_coset_key(r.g) for r in reps}
                 if a != b or brute_keys != algo_keys:
@@ -350,16 +351,14 @@ def _cmd_verify_oracle(args) -> int:
 
 def _cmd_sums(args) -> int:
     F = _field_of(args)
-    g = gauss_sum(F)
-    rows = [("gauss", g.render(), g)]
+    sums = [("gauss", gauss_sum(F))]
     for spec in args.kloosterman or []:
         parts = [int(t) for t in spec.split(",")]
         if len(parts) not in (4, 6):
             _usage(f"--kloosterman wants l,B,a,b or l,B,a,b,ap,bp, got {spec!r}")
-        s = kloosterman(F, *parts)
-        rows.append((f"S_{parts[0]}({','.join(str(t) for t in parts[1:])})", s.render(), s))
+        sums.append((f"S_{parts[0]}({','.join(str(t) for t in parts[1:])})", kloosterman(F, *parts)))
     with _records(args, ["sum", "render", "value"]) as write:
-        write(rows)
+        write([(name, s.render(), s.to_dict()) for name, s in sums])
     return 0
 
 
@@ -370,7 +369,7 @@ def _cmd_sums(args) -> int:
 _FLAGS = {
     "format": {"--format": {"choices": ("json", "csv"), "default": "json"}},
     "jobs": {"--jobs": {"type": int, "default": 1}},
-    "budget": {"--budget": {"type": int, "default": DEFAULT_BUDGET}},
+    "budget": {"--budget": {"type": int, "default": None}},
     "xyz": {f"--{c}": {"required": True, "metavar": "KIND:PARAMS"} for c in "xyz"},
     "ijk": {f"--{c}": {"default": None, "metavar": "KIND:PARAMS"} for c in "ijk"},
     "kloosterman": {
@@ -420,7 +419,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (ValueError, KeyError, OSError, BudgetExceeded) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Exact arithmetic in Z[zeta_p] and the character sums built on it.
 
-A CycloNum is a vector of p-1 coefficients over the basis 1, zeta, ...,
+A CycloNum is the tuple of its p-1 coefficients over the basis 1, zeta, ...,
 zeta^(p-2) of Z[zeta_p], where zeta = exp(2 pi i / p); the relation
 1 + zeta + ... + zeta^(p-1) = 0 folds the top power into the basis.  The
 additive character of F_q is phi(x) = zeta_p^Tr(x).
@@ -21,26 +21,31 @@ from operator import add, neg, sub
 from . import gf
 
 
-class CycloNum:
-    """Element of Z[zeta_p], exact; immutable."""
+class CycloNum(tuple):
+    """Element of Z[zeta_p], exact; immutable.  It is the tuple of its p - 1
+    int coefficients, equal to and hashed as that tuple, so p = len + 1."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, p: int, coeffs):
-        cs = tuple(coeffs)
+    def __new__(cls, p: int, coeffs):
+        cs = tuple.__new__(cls, coeffs)
         if len(cs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients for p = {p}")
         if not all(type(c) is int for c in cs):
-            raise TypeError(f"coefficients must be ints, got {cs!r}")
-        self.p = p
-        self.coeffs = cs
+            raise TypeError(f"coefficients must be ints, got {tuple(cs)!r}")
+        return cs
+
+    def __getnewargs__(self):
+        return self.p, tuple(self)
+
+    @property
+    def p(self) -> int:
+        return len(self) + 1
 
     @staticmethod
-    def _of(p: int, cs: tuple) -> "CycloNum":
-        """Unchecked constructor: cs is already a tuple of p - 1 ints."""
-        z = object.__new__(CycloNum)
-        z.p, z.coeffs = p, cs
-        return z
+    def _of(cs) -> "CycloNum":
+        """Unchecked constructor: cs yields p - 1 ints."""
+        return tuple.__new__(CycloNum, cs)
 
     # -- constructors --------------------------------------------------------
 
@@ -73,20 +78,20 @@ class CycloNum:
                 else:
                     for i in range(p - 1):
                         cs[i] -= n
-        return CycloNum._of(p, tuple(cs))
+        return CycloNum._of(cs)
 
     # -- ring ops -------------------------------------------------------------
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._chk(other)
-        return CycloNum._of(self.p, tuple(map(add, self.coeffs, other.coeffs)))
+        return CycloNum._of(map(add, self, other))
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         self._chk(other)
-        return CycloNum._of(self.p, tuple(map(sub, self.coeffs, other.coeffs)))
+        return CycloNum._of(map(sub, self, other))
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum._of(self.p, tuple(map(neg, self.coeffs)))
+        return CycloNum._of(map(neg, self))
 
     def __mul__(self, other) -> "CycloNum":
         if not isinstance(other, CycloNum):
@@ -94,47 +99,37 @@ class CycloNum:
         self._chk(other)
         p = self.p
         acc = [0] * p  # exponents mod p
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(self):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other):
                     if b:
                         acc[(i + j) % p] += a * b
         top = acc[p - 1]
-        return CycloNum._of(p, tuple([acc[i] - top for i in range(p - 1)]))
+        return CycloNum._of([acc[i] - top for i in range(p - 1)])
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "CycloNum":
         if type(c) is not int:
             raise TypeError(f"scale factor must be an int, got {c!r}")
-        return CycloNum._of(self.p, tuple([a * c for a in self.coeffs]))
+        return CycloNum._of([a * c for a in self])
 
     def exact_div(self, n: int) -> "CycloNum":
         """self / n; ValueError unless n divides every coefficient."""
         if type(n) is not int:
             raise TypeError(f"divisor must be an int, got {n!r}")
-        if any(a % n for a in self.coeffs):
+        if any(a % n for a in self):
             raise ValueError(f"{self.render()} is not divisible by {n}")
-        return CycloNum._of(self.p, tuple([a // n for a in self.coeffs]))
+        return CycloNum._of([a // n for a in self])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self)
 
     def _chk(self, other: "CycloNum") -> None:
-        if self.p != other.p:
+        if len(self) != len(other):
             raise ValueError(f"mixed cyclotomic orders {self.p} and {other.p}")
 
     # -- plumbing --------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycloNum)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
 
     def __repr__(self) -> str:
         return f"CycloNum(p={self.p}, {self.render()!r})"
@@ -148,7 +143,7 @@ class CycloNum:
         'z^2'
         """
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self):
             if c == 0:
                 continue
             if i == 0:
@@ -159,7 +154,7 @@ class CycloNum:
         return " + ".join(terms) if terms else "0"
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "coeffs": [str(c) for c in self.coeffs]}
+        return {"p": self.p, "coeffs": [str(c) for c in self]}
 
     @staticmethod
     def from_dict(d: dict) -> "CycloNum":

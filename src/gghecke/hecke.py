@@ -9,7 +9,7 @@ by intersect; generation_expand evaluates the expansion of e_0(x, y)
 through e_1, e_2 products.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 
 from .chevalley import GroupElem, chevalley_group
@@ -196,15 +196,16 @@ class HeckeAlgebra:
                 hop = (n, self._tr[chi[wz1]], self._tr[chi[wz2]])
                 route.setdefault(cz, []).append(hop)
                 one[n] = {cz: [hop]}
-        buckets = {}  # (t0, t_mu) -> the entries of its representatives
+        buckets = defaultdict(Counter)  # (t0, t_mu) -> counts of its representatives' entries
         for sub in distinguished_subexprs(x, y, z):
             for t0, tmu, entry in rep_entries(sub, F):
-                buckets.setdefault((t0, tmu), []).append(entry)
-        # ratio t_mu / t0 -> its buckets (t0, entries collapsed to (*entry, count))
+                buckets[t0, tmu][entry] += 1
+        # ratio t_mu / t0 -> its buckets (t0, entries as (*entry, count))
         index = {}
-        for (t0, tmu), entries in buckets.items():
+        for (t0, tmu), counts in buckets.items():
             r = (F.div(tmu[0], t0[0]), F.div(tmu[1], t0[1]))
-            index.setdefault(r, []).append((t0, [(*e, m) for e, m in Counter(entries).items()]))
+            index.setdefault(r, []).append((t0, [(*e, m) for e, m in counts.items()]))
+            counts.clear()  # free each bucket's entries once the index holds them
         py = (W.act(W.inv(y), 1), W.act(W.inv(y), 2))
         tbl = self._reptables[kinds] = {"index": index, "py": py, "route": route, "one": one}
         return tbl

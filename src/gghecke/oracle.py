@@ -30,8 +30,9 @@ __all__ = [
 DEFAULT_BUDGET = 200_000
 
 
-class BudgetExceeded(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
+class BudgetExceeded(ValueError):
+    """The requested enumeration is larger than the configured budget: a bad
+    argument, which the CLI reports with exit status 2."""
 
 
 def _guard(size: int, budget: int, what: str):

@@ -435,6 +435,8 @@ def test_sums(capsys):
         ["basis", "--type", "A2", "--q", "999999999989"],
         ["basis", "--type", "A2", "--p", "1000000000000000003"],
         ["basis", "--type", "A2", "--p", "3", "--f", "1000000000"],
+        # a budget too small for the oracle's scan is a bad argument
+        ["verify-oracle", "--type", "A2", "--q", "2", "--budget", "2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -1,4 +1,6 @@
 """Cyclotomic arithmetic and the character sum identities."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -83,10 +85,35 @@ def test_dict_round_trip():
         assert CycloNum.from_dict(v.to_dict()) == v
 
 
+
+def test_cyclonum_is_its_coefficient_tuple():
+    c = CycloNum(5, (1, -2, 0, 3))
+    zero = CycloNum.zero(5)
+    assert isinstance(c, tuple) and tuple(c) == (1, -2, 0, 3) and c == (1, -2, 0, 3)
+    assert hash(c) == hash((1, -2, 0, 3))
+    assert c.p == len(c) + 1 == 5
+    # + and * are the ring's, never concatenation or repetition
+    for twice in (c + c, 2 * c, c * 2, sum([c, c], zero), c.scale(2)):
+        assert type(twice) is CycloNum and twice == (2, -4, 0, 6)
+    assert type(c * c) is CycloNum and len(c * c) == 4
+    with pytest.raises(ValueError):
+        CycloNum(5, (1, 2, 3))
+    with pytest.raises(TypeError):
+        CycloNum(5, (1, 2, 3, 4.0))
+    # numbers for different p are never equal, not even 0 = 0 or 1 = 1
+    assert CycloNum.zero(3) != CycloNum.zero(5)
+    assert CycloNum.from_int(3, 1) != CycloNum.from_int(5, 1)
+    with pytest.raises(ValueError):
+        CycloNum.zero(3) + CycloNum.zero(5)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(twin) is CycloNum and twin == c and twin.p == 5
+    assert c.to_dict() == {"p": 5, "coeffs": ["1", "-2", "0", "3"]}
+    assert repr(c) == "CycloNum(p=5, '1 + -2*z + 3*z^3')"
+
 def test_integral_coefficients_are_ints():
     v = CycloNum(5, [3, 2, -1, 0])
-    assert all(type(c) is int for c in (v * v + v).scale(-2).coeffs)
-    assert all(type(c) is int for c in CycloNum.from_dict(v.to_dict()).coeffs)
+    assert all(type(c) is int for c in (v * v + v).scale(-2))
+    assert all(type(c) is int for c in CycloNum.from_dict(v.to_dict()))
     # a rational is refused, not stored
     with pytest.raises(TypeError):
         CycloNum(5, [Fraction(6, 2), 2, -1, 0])
@@ -111,10 +138,10 @@ def test_from_zeta_counts_matches_checked_path(p, data):
     got = CycloNum.from_zeta_counts(p, counts)
     checked = CycloNum.zero(p)
     for k, n in enumerate(counts):
-        checked = checked + CycloNum(p, CycloNum.zeta_pow(p, k).coeffs).scale(n)
+        checked = checked + CycloNum(p, CycloNum.zeta_pow(p, k)).scale(n)
     assert got == checked
-    assert all(type(c) is int for c in got.coeffs)
-    assert len(got.coeffs) == p - 1
+    assert all(type(c) is int for c in got)
+    assert len(got) == p - 1
 
 
 def test_gauss_sum_is_cached_and_exact():

@@ -264,7 +264,7 @@ def test_coefficients_are_ints(tag):
             H.structure_constant(i, j, k, method="direct"),
             H.table_formula(i, j, k),
         ):
-            assert all(type(c) is int for c in value.coeffs), (i, j, k, value)
+            assert all(type(c) is int for c in value), (i, j, k, value)
 
 
 def test_closed_forms_over_extension_field():

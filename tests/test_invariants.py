@@ -8,13 +8,17 @@ The reference below uses only Weyl-group arithmetic with integer q, none of
 the group engine; from the walk types alone (q choices at an A, q-1 at a B)
 the same count is checked at every prime power q <= 512.  The Gelfand-Graev
 Hecke algebra is commutative and associative, which checks every product
-against others without any closed form.
+against others without any closed form.  Conjugation by a torus element
+h_a = torus(a, a), a in F_p^x, multiplies psi by the Galois twist sigma_a of
+Q(zeta_p), since Tr(a x) = a Tr(x); so it permutes the basis and twists every
+structure constant by sigma_a (Carter, Finite Groups of Lie Type, ch. 8).
 """
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
+from gghecke.cyclo import CycloNum
 from gghecke.gf import make_field
 from gghecke.hecke import HeckeVec, hecke_algebra
 from gghecke.intersect import distinguished_subexprs
@@ -119,3 +123,50 @@ def test_multiply_associates_on_every_triple(tag, pf):
         left = expand(mul(i, j), lambda l: mul(l, k))
         right = expand(mul(j, k), lambda l: mul(i, l))
         assert left == right, (i, j, k)
+
+
+@lru_cache(maxsize=None)  # the distinct values are few
+def _sigma(c: CycloNum, a: int) -> CycloNum:
+    """The Galois twist zeta^r -> zeta^(a r) of c."""
+    counts = [0] * c.p
+    for r, n in enumerate(c):
+        counts[a * r % c.p] += n
+    return CycloNum.from_zeta_counts(c.p, counts)
+
+
+def _torus_twist(H, a: int) -> dict:
+    """b -> the basis point of h b h^-1 for h = torus(a, a), read off the group:
+    the conjugate is n_w times a torus element, whose (w, t) names the point."""
+    G = H.G
+    h = G.torus(H.F.of(a), H.F.of(a))
+    at = {H.point(b): b for b in H.basis}
+    perm = {}
+    for b in H.basis:
+        g = G.multiply(h, H.group_elem(b), G.invert(h))
+        t = G.multiply(G.invert(G.lift(g.w)), g)
+        assert t.w == G.W.identity and not any(t.u) and not any(t.u2), (b, g)
+        perm[b] = at[g.w, t.t]
+    assert set(perm.values()) == set(H.basis)
+    return perm
+
+
+@pytest.mark.parametrize(
+    "tag,p", [("A2", 5), ("A2", 7), ("B2", 5)], ids=["A2-5", "A2-7", "B2-5"]
+)
+def test_torus_twist_maps_constants_by_sigma_a(tag, p):
+    H = hecke_algebra(tag, make_field(p))
+    table = {(i, j): H.multiply(i, j) for i, j in product(H.basis, repeat=2)}
+
+    def twisted(vec, perm, a):
+        return HeckeVec({perm[k]: _sigma(v, a) for k, v in vec.items()})
+
+    wrong = False
+    for a in range(2, p):
+        perm = _torus_twist(H, a)
+        assert any(perm[b] != b for b in H.basis), a
+        inv_a = pow(a, -1, p)
+        for (i, j), vec in table.items():
+            assert table[perm[i], perm[j]] == twisted(vec, perm, a), (a, i, j)
+            wrong = wrong or table[perm[i], perm[j]] != twisted(vec, perm, inv_a)
+    # the inverse twist is wrong somewhere, so the check above is not vacuous
+    assert wrong

@@ -141,13 +141,14 @@ def _fresh(code: str) -> list:
     "module,absent",
     [
         ("gghecke.hecke", {"dataclasses", "inspect", "multiprocessing", "gghecke.formulas"}),
-        ("gghecke.cli", {"multiprocessing", "gghecke.formulas"}),
+        ("gghecke.cli", {"multiprocessing", "gghecke.formulas", "gghecke.oracle"}),
     ],
 )
 def test_import_loads_no_heavy_modules(module, absent):
     # a fresh interpreter, compared before and after the import, so whatever
     # site preloads does not count; the CLI imports multiprocessing only where
-    # verify-tables starts workers, and the closed forms only where one is asked for
+    # verify-tables starts workers, the closed forms only where one is asked
+    # for, and the brute-force oracle only for verify-oracle
     out = _fresh(_ADDED.format(module=module))
     assert module in out
     assert not absent & ({m.partition(".")[0] for m in out} | set(out)), out
@@ -155,19 +156,33 @@ def test_import_loads_no_heavy_modules(module, absent):
 
 _RUN = (
     "import sys; from gghecke.cli import run;"
-    " rc = run({argv!r}); print(rc, 'gghecke.formulas' in sys.modules)"
+    " rc = run({argv!r}); print(rc, {module!r} in sys.modules)"
 )
+
+_CONSTANTS_RUN = ["constants", "--type", "B2", "--q", "3", "--out", os.devnull]
 
 
 @pytest.mark.parametrize(
     "argv,loaded",
     [
-        (["constants", "--type", "B2", "--q", "3", "--out", os.devnull], "False"),
+        (_CONSTANTS_RUN, "False"),
         (["verify-tables", "--type", "B2", "--q", "3", "--jobs", "1", "--out", os.devnull], "True"),
     ],
 )
 def test_only_closed_forms_load_the_formulas(argv, loaded):
-    assert _fresh(_RUN.format(argv=argv)) == ["0", loaded]
+    assert _fresh(_RUN.format(argv=argv, module="gghecke.formulas")) == ["0", loaded]
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (_CONSTANTS_RUN, "False"),
+        (["verify-oracle", "--type", "A2", "--q", "2", "--out", os.devnull], "True"),
+    ],
+    ids=["constants", "verify-oracle"],
+)
+def test_only_verify_oracle_loads_the_oracle(argv, loaded):
+    assert _fresh(_RUN.format(argv=argv, module="gghecke.oracle")) == ["0", loaded]
 
 
 def test_formulas_import_no_other_route():
