@@ -68,17 +68,15 @@ class CycloNum(tuple):
 
     @staticmethod
     def from_zeta_counts(p: int, counts) -> "CycloNum":
-        """sum(counts[k] * zeta^k), int counts indexed by exponent mod p."""
-        cs = [0] * (p - 1)
-        for k, n in enumerate(counts):
-            if n:
-                k %= p
-                if k < p - 1:
-                    cs[k] += n
-                else:
-                    for i in range(p - 1):
-                        cs[i] -= n
-        return CycloNum._of(cs)
+        """sum(counts[k] * zeta^k), int counts indexed by exponent mod p.  Folded to
+        length p, coefficient k is counts[k] - counts[p-1], as the p powers sum to 0."""
+        if len(counts) != p:
+            counts, given = [0] * p, counts
+            for k, n in enumerate(given):
+                if n:
+                    counts[k % p] += n
+        top = counts[p - 1]
+        return CycloNum._of([c - top for c in counts[:p - 1]] if top else counts[:p - 1])
 
     # -- ring ops -------------------------------------------------------------
 

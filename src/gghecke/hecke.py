@@ -52,9 +52,7 @@ class HeckeVec:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {
-            k: v for k, v in dict(coeffs or {}).items() if not v.is_zero()
-        }
+        self.coeffs = {k: v for k, v in dict(coeffs or {}).items() if any(v)}
 
     def get(self, b: BasisElem, p: int) -> CycloNum:
         return self.coeffs.get(b) or CycloNum.zero(p)  # the zero only on a miss
@@ -214,22 +212,22 @@ class HeckeAlgebra:
         """Zeta counts of S_ij^k by basis index of k, for the k in route.  Bucket
         (t0, tmu) serves the k whose pair cz solves tmu/t0 = cz*tx*cy componentwise;
         each key of the smaller side, route or ratio index, is looked up in the other."""
-        F = self.F
-        p, mul, tr = F.p, F.mul, self._tr
-        cy1, cy2 = chi_y[tbl["py"][0]], chi_y[tbl["py"][1]]
-        xy1, xy2 = mul(tx[0], cy1), mul(tx[1], cy2)
+        p, rows, inv, tr = self.F.p, self.F._mul, self.F.inv, self._tr  # rows[c][x] = c*x
+        ry1, ry2 = rows[chi_y[tbl["py"][0]]], rows[chi_y[tbl["py"][1]]]
+        xy1, xy2 = ry1[tx[0]], ry2[tx[1]]
+        r1, r2 = rows[xy1], rows[xy2]  # x -> x*tx*cy componentwise
         index = tbl["index"]
         if len(route) <= len(index):
             hits = [(hops, bs) for (c1, c2), hops in route.items()
-                    if (bs := index.get((mul(c1, xy1), mul(c2, xy2))))]
+                    if (bs := index.get((r1[c1], r2[c2])))]
         else:
-            ixy1, ixy2 = F.inv(xy1), F.inv(xy2)
-            hits = [(hops, bs) for (r1, r2), bs in index.items()
-                    if (hops := route.get((mul(r1, ixy1), mul(r2, ixy2))))]
+            r1, r2 = rows[inv(xy1)], rows[inv(xy2)]  # x -> x/(tx*cy)
+            hits = [(hops, bs) for (c1, c2), bs in index.items()
+                    if (hops := route.get((r1[c1], r2[c2])))]
         out = {}
         for hops, buckets in hits:
             for t0, entries in buckets:
-                wy1, wy2 = tr[mul(t0[0], cy1)], tr[mul(t0[1], cy2)]
+                wy1, wy2 = tr[ry1[t0[0]]], tr[ry2[t0[1]]]
                 for n, wz1, wz2 in hops:
                     counts = out.setdefault(n, [0] * p)
                     for dv, du1, du2, dw1, dw2, m in entries:
@@ -266,12 +264,14 @@ class HeckeAlgebra:
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
         """e_i e_j: one sweep of each of its four kind patterns."""
         (_, tx, _), (_, _, chi_y) = self._tor[i], self._tor[j]
-        p, basis, out = self.F.p, self.basis, {}
+        vec = HeckeVec()  # filled in place, so its keys are hashed once
+        p, basis, fold, out = self.F.p, self.basis, CycloNum.from_zeta_counts, vec.coeffs
         for kind in range(4):
             tbl = self._reps((i.kind, j.kind, kind))
             for n, counts in self._sweep(tbl, tx, chi_y, tbl["route"]).items():
-                out[basis[n]] = CycloNum.from_zeta_counts(p, counts)
-        return HeckeVec(out)
+                if any(c := fold(p, counts)):  # a HeckeVec holds no zero value
+                    out[basis[n]] = c
+        return vec
 
     # -- closed forms ------------------------------------------------------------
 

@@ -133,9 +133,15 @@ def test_integral_coefficients_are_ints():
 @settings(max_examples=100)
 def test_from_zeta_counts_matches_checked_path(p, data):
     # from_zeta_counts skips the int check; its coefficients must still be the ints
-    # that the checked constructor gives for the same sum of zeta powers
-    counts = data.draw(st.lists(st.integers(-30, 30), min_size=p, max_size=p))
+    # that the checked constructor gives for the same sum of zeta powers.  Every
+    # route ends in it: the sweeps with length-p lists, the closed forms with
+    # length 2p - 1, the count tables with tuples
+    size = data.draw(st.sampled_from([p, 2 * p - 1]) | st.integers(1, 3 * p))
+    counts = data.draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+    if data.draw(st.booleans()):
+        counts = tuple(counts)
     got = CycloNum.from_zeta_counts(p, counts)
+    assert type(got) is CycloNum
     checked = CycloNum.zero(p)
     for k, n in enumerate(counts):
         checked = checked + CycloNum(p, CycloNum.zeta_pow(p, k)).scale(n)

@@ -337,6 +337,37 @@ def test_hecke_vec_basics():
     assert len(HeckeVec({a: one}) + HeckeVec({a: -one})) == 0
 
 
+@pytest.mark.parametrize("tag,pf", [("A2", (2, 2)), ("A2", (5,)), ("B2", (5,))],
+                         ids=["A2-4", "A2-5", "B2-5"])
+def test_multiply_builds_a_clean_vec(tag, pf):
+    # multiply fills its HeckeVec in place, past the zero filter of
+    # HeckeVec.__init__: each product must still be what that filter would give
+    H = hecke_algebra(tag, make_field(*pf))
+    basis = set(H.basis)
+    for i, j in itertools.product(H.basis, repeat=2):
+        vec = H.multiply(i, j)
+        assert all(any(c) for _, c in vec.items()), (i, j)
+        assert all(k in basis for k, _ in vec.items()), (i, j)
+        assert HeckeVec(dict(vec.items())) == vec, (i, j)
+
+
+def test_multiply_drops_zero_constants(monkeypatch):
+    # no sweep at the fields above sums to zero, so make some: a fold that
+    # zeroes every other constant must leave those out of the product
+    H = hecke_algebra("A2", make_field(5))
+    i, j = H.basis[0], H.basis[1]
+    full, fold, calls = H.multiply(i, j), CycloNum.from_zeta_counts, []
+
+    def zeroing(p, counts):
+        calls.append(counts)
+        return CycloNum.zero(p) if len(calls) % 2 else fold(p, counts)
+
+    monkeypatch.setattr(CycloNum, "from_zeta_counts", staticmethod(zeroing))
+    vec = H.multiply(i, j)
+    assert len(vec) == len(calls) // 2 < len(full)
+    assert all(any(c) and full.get(k, H.F.p) == c for k, c in vec.items())
+
+
 def test_generation_expand_guards():
     with pytest.raises(ValueError):
         hecke_algebra("B2", make_field(3)).generation_expand(1, 1)

@@ -12,13 +12,19 @@ against others without any closed form.  Conjugation by a torus element
 h_a = torus(a, a), a in F_p^x, multiplies psi by the Galois twist sigma_a of
 Q(zeta_p), since Tr(a x) = a Tr(x); so it permutes the basis and twists every
 structure constant by sigma_a (Carter, Finite Groups of Lie Type, ch. 8).
+Under the trace form <f, g> = sum f conj(g) on the group algebra, convolution
+by f_i is adjoint to convolution by f_i*(g) = conj(f_i(g^-1)) = conj(s_i) f_{i*},
+where n_i^-1 = v n_{i*} v' with v, v' in U and s_i = psi(v) psi(v').  As
+<f_k, f_k> is proportional to q^l(k), this gives the duality
+q^l(k) S_ij^k = s_i q^l(j) conj(S_{i* k}^j) (Bannai-Ito, Algebraic
+Combinatorics I, ch. II), which links different kind patterns.
 """
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
-from gghecke.cyclo import CycloNum
+from gghecke.cyclo import CycloNum, phi
 from gghecke.gf import make_field
 from gghecke.hecke import HeckeVec, hecke_algebra
 from gghecke.intersect import distinguished_subexprs
@@ -170,3 +176,37 @@ def test_torus_twist_maps_constants_by_sigma_a(tag, p):
             wrong = wrong or table[perm[i], perm[j]] != twisted(vec, perm, inv_a)
     # the inverse twist is wrong somewhere, so the check above is not vacuous
     assert wrong
+
+
+def _reverse(H) -> dict:
+    """i -> (i*, s_i), read off the normal form u t n_w u' of n_i^-1 with n_i =
+    group_elem(i): t n_w = n_{i*} names the point i*, and s_i = psi(u) psi(u')
+    with psi(u) = phi(u_1 + u_2) on the simple-root coordinates."""
+    G, F = H.G, H.F
+    at = {H.point(b): b for b in H.basis}
+    out = {}
+    for b in H.basis:
+        g = G.invert(H.group_elem(b))
+        t = G.multiply(G.invert(G.lift(g.w)), G.torus(*g.t), G.lift(g.w))
+        assert t.w == G.W.identity and not any(t.u) and not any(t.u2), (b, g)
+        s = phi(F, F.add(F.add(g.u[0], g.u[1]), F.add(g.u2[0], g.u2[1])))
+        out[b] = at[g.w, t.t], s
+    return out
+
+
+@pytest.mark.parametrize(
+    "tag,pf",
+    [("A2", (2,)), ("A2", (3,)), ("A2", (2, 2)), ("A2", (5,)), ("B2", (3,)), ("B2", (5,))],
+    ids=["A2-2", "A2-3", "A2-4", "A2-5", "B2-3", "B2-5"],
+)
+def test_multiply_satisfies_trace_form_duality(tag, pf):
+    H = hecke_algebra(tag, make_field(*pf))
+    p, q = H.F.p, H.F.q
+    table = {(i, j): H.multiply(i, j) for i, j in product(H.basis, repeat=2)}
+    reverse = _reverse(H)
+    for (i, j), vec in table.items():
+        istar, s = reverse[i]
+        for k in H.basis:
+            dual = table[istar, k].get(j, p)
+            want = (s * _sigma(dual, p - 1)).scale(q ** H.length(j))
+            assert vec.get(k, p).scale(q ** H.length(k)) == want, (i, j, k)
