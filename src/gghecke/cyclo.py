@@ -16,7 +16,6 @@ True
 """
 
 from functools import lru_cache
-from operator import add, neg, sub
 
 from . import gf
 
@@ -59,22 +58,17 @@ class CycloNum(tuple):
 
     @staticmethod
     def zeta_pow(p: int, k: int) -> "CycloNum":
-        k %= p
-        if k < p - 1:
-            cs = [0] * (p - 1)
-            cs[k] = 1
-            return CycloNum(p, cs)
-        return CycloNum(p, (-1,) * (p - 1))
+        counts = [0] * p
+        counts[k % p] = 1
+        return CycloNum.from_zeta_counts(p, counts)
 
     @staticmethod
     def from_zeta_counts(p: int, counts) -> "CycloNum":
-        """sum(counts[k] * zeta^k), int counts indexed by exponent mod p.  Folded to
-        length p, coefficient k is counts[k] - counts[p-1], as the p powers sum to 0."""
+        """sum(counts[k] * zeta^k) for exactly p int counts, k = 0..p-1.  Coefficient
+        k is counts[k] - counts[p-1], as the p powers sum to 0: the one place that
+        relation is applied.  ValueError for any other number of counts."""
         if len(counts) != p:
-            counts, given = [0] * p, counts
-            for k, n in enumerate(given):
-                if n:
-                    counts[k % p] += n
+            raise ValueError(f"need {p} zeta counts for p = {p}, got {len(counts)}")
         top = counts[p - 1]
         return CycloNum._of([c - top for c in counts[:p - 1]] if top else counts[:p - 1])
 
@@ -82,14 +76,14 @@ class CycloNum(tuple):
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         self._chk(other)
-        return CycloNum._of(map(add, self, other))
+        return CycloNum._of([a + b for a, b in zip(self, other)])
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         self._chk(other)
-        return CycloNum._of(map(sub, self, other))
+        return CycloNum._of([a - b for a, b in zip(self, other)])
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum._of(map(neg, self))
+        return CycloNum._of([-a for a in self])
 
     def __mul__(self, other) -> "CycloNum":
         if not isinstance(other, CycloNum):
@@ -102,8 +96,7 @@ class CycloNum(tuple):
                 for j, b in enumerate(other):
                     if b:
                         acc[(i + j) % p] += a * b
-        top = acc[p - 1]
-        return CycloNum._of([acc[i] - top for i in range(p - 1)])
+        return CycloNum.from_zeta_counts(p, acc)
 
     __rmul__ = __mul__
 

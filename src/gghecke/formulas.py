@@ -21,7 +21,8 @@ class ClosedForms:
         """Exact value of the printed closed form for S_{ij}^k.
 
         Every case adds into one list of counts over zeta exponents 0..2p-2
-        (a trace, or a count vector rotated by a trace), read as one CycloNum.
+        (a trace, or a count vector rotated by a trace); exponent k + p is zeta^k,
+        so the list is folded to p counts and read as one CycloNum.
         """
         p = self.F.p
         counts = [0] * (2 * p - 1)
@@ -34,6 +35,7 @@ class ClosedForms:
                 i, j = j, i
             fn = self._f_a2 if self.tag == "A2" else self._f_b2
             fn((i.kind, j.kind, k.kind), i.params, j.params, k.params, counts)
+        counts = [a + b for a, b in zip(counts, counts[p:])] + [counts[p - 1]]
         return CycloNum.from_zeta_counts(p, counts)
 
     def _unit_sum(self, a: int, b: int) -> tuple:

@@ -40,7 +40,6 @@ __all__ = [
     "MuAssignment",
     "CosetRep",
     "distinguished_subexprs",
-    "classify",
     "mu_assignments",
     "build_rep",
     "rep_entries",
@@ -148,11 +147,6 @@ def distinguished_subexprs(x: WeylElem, y: WeylElem, z: WeylElem) -> tuple:
 
     rec(1, W.identity, [])
     return tuple(Subexpr(tag, x, y, z, j, _walk(tag, x, y, j)) for j in sorted(found))
-
-
-def classify(sub: Subexpr) -> str:
-    """Recompute the type string of a subexpression from scratch."""
-    return _walk(sub.tag, sub.x, sub.y, sub.jvec)
 
 
 def _domains(types: str, field: Field) -> list:

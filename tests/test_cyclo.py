@@ -1,12 +1,14 @@
 """Cyclotomic arithmetic and the character sum identities."""
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gghecke import cyclo
 from gghecke.cyclo import (
     CycloNum,
     gauss_sum,
@@ -134,10 +136,9 @@ def test_integral_coefficients_are_ints():
 def test_from_zeta_counts_matches_checked_path(p, data):
     # from_zeta_counts skips the int check; its coefficients must still be the ints
     # that the checked constructor gives for the same sum of zeta powers.  Every
-    # route ends in it: the sweeps with length-p lists, the closed forms with
-    # length 2p - 1, the count tables with tuples
-    size = data.draw(st.sampled_from([p, 2 * p - 1]) | st.integers(1, 3 * p))
-    counts = data.draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+    # route ends in it with exactly p counts: the sweeps with lists, the closed
+    # forms once they fold their 2p - 1, the count tables with tuples
+    counts = data.draw(st.lists(st.integers(-30, 30), min_size=p, max_size=p))
     if data.draw(st.booleans()):
         counts = tuple(counts)
     got = CycloNum.from_zeta_counts(p, counts)
@@ -148,6 +149,27 @@ def test_from_zeta_counts_matches_checked_path(p, data):
     assert got == checked
     assert all(type(c) is int for c in got)
     assert len(got) == p - 1
+    # any other number of counts is refused, never folded mod p
+    for size in (0, p - 1, p + 1, 2 * p - 1):
+        with pytest.raises(ValueError):
+            CycloNum.from_zeta_counts(p, list(range(1, size + 1)))
+
+
+def test_ring_ops_leave_no_tuples_behind():
+    # a result built from a bare map makes tuple() trim a temporary, which the
+    # interpreter keeps in its tuple free list: 171 KB after 2,999 rounds at p = 7
+    a, b = CycloNum(7, (1, -2, 3, 0, 5, -6)), CycloNum(7, (4, 0, -1, 2, 2, 9))
+    here = [tracemalloc.Filter(True, cyclo.__file__)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(here)
+        for _ in range(2999):
+            a + b, a - b, -a
+        after = tracemalloc.take_snapshot().filter_traces(here)
+    finally:
+        tracemalloc.stop()
+    grown = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert grown < 16_000, grown
 
 
 def test_gauss_sum_is_cached_and_exact():

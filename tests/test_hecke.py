@@ -302,11 +302,12 @@ def test_table_formula_validates_params():
 @pytest.mark.parametrize("tag,pf", [("A2", (2, 2)), ("B2", (5,))], ids=["A2-4", "B2-5"])
 def test_table_formula_is_one_count_vector(monkeypatch, tag, pf):
     # every closed form adds into one list of zeta counts: no CycloNum
-    # arithmetic, and exactly one from_zeta_counts per triple
+    # arithmetic, and exactly one from_zeta_counts per triple, of p counts
     H = hecke_algebra(tag, make_field(*pf))
     made, from_counts = [], CycloNum.from_zeta_counts
 
     def counted(p, counts):
+        assert len(counts) == p
         made.append(p)
         return from_counts(p, counts)
 

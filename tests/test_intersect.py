@@ -16,7 +16,6 @@ from gghecke.gf import make_field
 from gghecke.intersect import (
     MuAssignment,
     build_rep,
-    classify,
     distinguished_subexprs,
     intersect,
     left_coset_key,
@@ -80,14 +79,6 @@ def test_jset_fixtures():
 def test_jset_columns(tag, table):
     for (x, y, z), want in table.items():
         assert jset(tag, x, y, z) == want, (x, y, z)
-
-
-def test_classify_round_trips():
-    for tag in ("A2", "B2"):
-        b = weyl_group(tag).basis_elements()
-        for xi, yi, zi in itertools.product(range(4), repeat=3):
-            for s in distinguished_subexprs(b[xi], b[yi], b[zi]):
-                assert classify(s) == s.types
 
 
 def test_mu_assignment_counts():

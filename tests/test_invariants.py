@@ -19,6 +19,7 @@ where n_i^-1 = v n_{i*} v' with v, v' in U and s_i = psi(v) psi(v').  As
 q^l(k) S_ij^k = s_i q^l(j) conj(S_{i* k}^j) (Bannai-Ito, Algebraic
 Combinatorics I, ch. II), which links different kind patterns.
 """
+import random
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -26,7 +27,7 @@ import pytest
 
 from gghecke.cyclo import CycloNum, phi
 from gghecke.gf import make_field
-from gghecke.hecke import HeckeVec, hecke_algebra
+from gghecke.hecke import BasisElem, HeckeAlgebra, HeckeVec, hecke_algebra
 from gghecke.intersect import distinguished_subexprs
 from gghecke.rootsys import weyl_group
 
@@ -178,19 +179,24 @@ def test_torus_twist_maps_constants_by_sigma_a(tag, p):
     assert wrong
 
 
-def _reverse(H) -> dict:
-    """i -> (i*, s_i), read off the normal form u t n_w u' of n_i^-1 with n_i =
-    group_elem(i): t n_w = n_{i*} names the point i*, and s_i = psi(u) psi(u')
-    with psi(u) = phi(u_1 + u_2) on the simple-root coordinates."""
+def _reverse(H, points=None) -> dict:
+    """i -> (i*, s_i) for the given points (all of the basis by default), read off
+    the normal form u t n_w u' of n_i^-1 with n_i = group_elem(i): t n_w = n_{i*}
+    names the point i*, and s_i = psi(u) psi(u') with psi(u) = phi(u_1 + u_2) on
+    the simple-root coordinates."""
     G, F = H.G, H.F
-    at = {H.point(b): b for b in H.basis}
+    bw = G.W.basis_elements()
     out = {}
-    for b in H.basis:
+    for b in H.basis if points is None else points:
         g = G.invert(H.group_elem(b))
         t = G.multiply(G.invert(G.lift(g.w)), G.torus(*g.t), G.lift(g.w))
         assert t.w == G.W.identity and not any(t.u) and not any(t.u2), (b, g)
+        # kind 0 is named by both torus entries, 1 by the second, 2 by the first
+        kind = bw.index(g.w)
+        star = BasisElem(kind, (t.t, t.t[1:], t.t[:1], ())[kind])
+        assert H.point(star) == (g.w, t.t), (b, star)
         s = phi(F, F.add(F.add(g.u[0], g.u[1]), F.add(g.u2[0], g.u2[1])))
-        out[b] = at[g.w, t.t], s
+        out[b] = star, s
     return out
 
 
@@ -210,3 +216,47 @@ def test_multiply_satisfies_trace_form_duality(tag, pf):
             dual = table[istar, k].get(j, p)
             want = (s * _sigma(dual, p - 1)).scale(q ** H.length(j))
             assert vec.get(k, p).scale(q ** H.length(k)) == want, (i, j, k)
+
+
+@pytest.mark.parametrize(
+    "tag,pf",
+    [
+        ("A2", (17,)),
+        ("B2", (17,)),
+        ("A2", (5, 2)),
+        ("B2", (5, 2)),
+        ("A2", (3, 3)),
+        ("B2", (3, 3)),
+        ("A2", (2, 5)),
+        # beyond any rep-table walk: no product is computed, so only the
+        # basis search bounds q; 127 folds at a large p
+        pytest.param("A2", (127,), marks=pytest.mark.slow),
+        pytest.param("A2", (2, 7), marks=pytest.mark.slow),
+        pytest.param("A2", (3, 5), marks=pytest.mark.slow),
+        pytest.param("A2", (2, 9), marks=pytest.mark.slow),
+        pytest.param("B2", (3, 4), marks=pytest.mark.slow),
+        pytest.param("B2", (5, 3), marks=pytest.mark.slow),
+        pytest.param("B2", (127,), marks=pytest.mark.slow),
+        pytest.param("B2", (3, 5), marks=pytest.mark.slow),
+    ],
+    ids=["A2-17", "B2-17", "A2-25", "B2-25", "A2-27", "B2-27", "A2-32",
+         "A2-127", "A2-128", "A2-243", "A2-512", "B2-81", "B2-125", "B2-127", "B2-243"],
+)
+def test_closed_forms_satisfy_trace_form_duality(tag, pf):
+    # the duality above on table_formula alone, 30 seeded triples per kind
+    # pattern; i* and s_i are found for the sampled i only.  The algebra is
+    # not the shared cached one, so a large field's basis is freed after
+    H = HeckeAlgebra(tag, make_field(*pf))
+    p, q = H.F.p, H.F.q
+    rng = random.Random(q)
+    by_kind = [[b for b in H.basis if b.kind == kind] for kind in range(4)]
+    triples = [tuple(rng.choice(by_kind[kind]) for kind in kinds)
+               for kinds in product(range(4), repeat=3) for _ in range(30)]
+    reverse = _reverse(H, {i for i, _, _ in triples})
+    bad = []
+    for i, j, k in triples:
+        istar, s = reverse[i]
+        want = (s * _sigma(H.table_formula(istar, k, j), p - 1)).scale(q ** H.length(j))
+        if H.table_formula(i, j, k).scale(q ** H.length(k)) != want:
+            bad.append((i, j, k))
+    assert not bad, (len(bad), bad[:5])
