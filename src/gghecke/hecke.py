@@ -117,24 +117,31 @@ class HeckeAlgebra:
     def _compatible_tori(self, w: WeylElem) -> list:
         """The torus pairs t, in field order, with ^n psi = psi on U meet nUn^{-1}
         for n = lift(w) t, tested on its root-group generators u = u_k(c).  Each
-        u is conjugated once: n^{-1} u n = t^{-1} v t for v = lift(w)^{-1} u lift(w)
-        in U, and t^{-1} u_k(x) t = u_k(x / chi_t(alpha_k)), so psi(n^{-1} u n) =
-        psi(u) when Tr(v_1 / t_1 + v_2 / t_2) = Tr(u_1 + u_2), as phi = zeta^Tr."""
+        u is conjugated once: n^{-1} u n = t^{-1} v t for v = lift(w)^{-1} u lift(w),
+        a single root element u_{w^{-1} k}(+-c) in U, and t^{-1} u_k(x) t =
+        u_k(x / chi_t(alpha_k)), so psi(n^{-1} u n) = psi(u) when Tr(v_1 / t_1 +
+        v_2 / t_2) = Tr(u_1 + u_2), as phi = zeta^Tr.  Each check reads one of
+        t_1, t_2 or neither, so each coordinate is scanned once on its own."""
         G, F, roots = self.G, self.F, range(1, self.G.N + 1)
         add, div, tr = F.add, F.div, F.trace
         lift = G.lift(w)
         linv, inverted = G.invert(lift), G.inv_set(self.W.inv(w))
-        checks = []
+        checks = ([], [], [])  # (v_s, Tr(u_1 + u_2)) of the checks reading t_1, t_2, neither
         for u in (G.unipotent([c if i == k else 0 for i in roots])
                   for k in roots if k not in inverted for c in F.units()):
             v = G.multiply(linv, u, lift)
             if v.w.length() or v.t != (1, 1) or any(v.u2):
                 raise AssertionError("conjugate left U")
-            checks.append((v.u[0], v.u[1], tr(add(u.u[0], u.u[1]))))
-        return [
-            (t1, t2) for t1 in F.units() for t2 in F.units()
-            if all(tr(add(div(x1, t1), div(x2, t2))) == want for x1, x2, want in checks)
-        ]
+            support = [s for s, x in enumerate(v.u) if x]
+            if len(support) != 1:
+                raise AssertionError("conjugate is not a single root element")
+            s = support[0]
+            checks[min(s, 2)].append((v.u[s], tr(add(u.u[0], u.u[1]))))
+        if any(want for _, want in checks[2]):
+            return []  # psi(n^{-1} u n) = psi(1) != psi(u) whatever t is
+        t1s, t2s = ([t for t in F.units() if all(tr(div(x, t)) == want for x, want in cs)]
+                    for cs in checks[:2])
+        return [(t1, t2) for t1 in t1s for t2 in t2s]
 
     def _compute_basis(self) -> list:
         """(basis point, its torus pair), in basis order."""

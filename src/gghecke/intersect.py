@@ -97,32 +97,6 @@ class CosetRep(Record):
     )
 
 
-def _walk(tag: str, x: WeylElem, y: WeylElem, jvec) -> str:
-    """The type string of a j-vector; raises if it is not distinguished."""
-    W = weyl_group(tag)
-    word = x.word
-    n = len(word)
-    jvec = tuple(jvec)
-    if len(jvec) != n:
-        raise ValueError("j-vector length does not match the word")
-    tau = W.identity
-    types = []
-    for m in range(1, n + 1):
-        i = word[n - m]
-        jm = jvec[n - m]
-        d = W.descent(tau, i, y)
-        if jm == 0:
-            if d is not Cmp.LESS:
-                raise ValueError("omitted letter at an ascent: not distinguished")
-            types.append("B")
-        elif jm == i:
-            types.append("A" if d is Cmp.LESS else "C")
-            tau = W.mult(W.simple(i), tau)
-        else:
-            raise ValueError("j-vector entry is neither 0 nor the word letter")
-    return "".join(reversed(types))
-
-
 @lru_cache(maxsize=None)
 def distinguished_subexprs(x: WeylElem, y: WeylElem, z: WeylElem) -> tuple:
     """All distinguished j with end product z y^{-1}, lex-ordered on j."""
@@ -135,18 +109,20 @@ def distinguished_subexprs(x: WeylElem, y: WeylElem, z: WeylElem) -> tuple:
     n = len(word)
     found = []
 
-    def rec(m, tau, jrev):
+    def rec(m, tau, j, types):
+        # j and types grow leftwards, from the right end of the word
         if m > n:
             if tau == target:
-                found.append(tuple(reversed(jrev)))
+                found.append((j, types))
             return
         i = word[n - m]
-        if W.descent(tau, i, y) is Cmp.LESS:
-            rec(m + 1, tau, jrev + [0])
-        rec(m + 1, W.mult(W.simple(i), tau), jrev + [i])
+        descent = W.descent(tau, i, y) is Cmp.LESS
+        if descent:
+            rec(m + 1, tau, (0,) + j, "B" + types)
+        rec(m + 1, W.mult(W.simple(i), tau), (i,) + j, ("A" if descent else "C") + types)
 
-    rec(1, W.identity, [])
-    return tuple(Subexpr(tag, x, y, z, j, _walk(tag, x, y, j)) for j in sorted(found))
+    rec(1, W.identity, (), "")
+    return tuple(Subexpr(tag, x, y, z, j, types) for j, types in sorted(found))
 
 
 def _domains(types: str, field: Field) -> list:

@@ -1,10 +1,14 @@
 """Finite field layer: construction, axioms, traces, roots."""
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gghecke import gf
 from gghecke.gf import Field, field_from_dict, make_field
 
 FIELDS = [
@@ -133,3 +137,62 @@ def test_div_by_zero_raises(q):
     with pytest.raises(ZeroDivisionError):
         F.div(1, 0)
     assert all(F.mul(F.div(a, b), b) == a for a in F.elements() for b in F.units())
+
+
+# sha256 of repr((_add, _neg, _mul, _inv, _trace)) and the default modulus of
+# every prime power q <= 512, recorded from the schoolbook-product tables the
+# fields were built from before the digit recurrence replaced them
+DIGESTS = {int(q): rec for q, rec in json.loads(
+    (Path(__file__).parent / "gf_table_digests.json").read_text()).items()}
+
+
+def _pf(q: int) -> tuple:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    return p, round(math.log(q, p))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [q if q <= 64 or _pf(q)[1] > 1 else pytest.param(q, marks=pytest.mark.slow) for q in DIGESTS],
+)
+def test_tables_match_recorded_digests(q, monkeypatch):
+    # uncached, so the large fields are freed after each case
+    monkeypatch.setattr(gf, "_make_field_cached", Field)
+    F = make_field(*_pf(q))
+    assert F.q == q and list(F.modulus) == DIGESTS[q]["modulus"]
+    tables = repr((F._add, F._neg, F._mul, F._inv, F._trace)).encode()
+    assert hashlib.sha256(tables).hexdigest() == DIGESTS[q]["sha256"]
+
+
+def _schoolbook(F: Field, a: int, b: int) -> int:
+    """a * b by long multiplication of coordinate vectors, reduced mod the modulus."""
+    p, f, m = F.p, F.f, F.modulus
+    ca, cb = ([(c // p**i) % p for i in range(f)] for c in (a, b))
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod[i + j] += x * y
+    for d in range(2 * f - 2, f - 1, -1):  # x^d = -x^(d-f) (m_0 + ... + m_{f-1} x^(f-1))
+        c, prod[d] = prod[d], 0
+        for i in range(f):
+            prod[d - f + i] -= c * m[i]
+    return sum((c % p) * p**i for i, c in enumerate(prod[:f]))
+
+
+OTHER_MODULI = [(2, 3, (1, 0, 1, 1)), (3, 2, (2, 1, 1)), (2, 4, (1, 0, 0, 1, 1)), (5, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "p,f,modulus",
+    [pytest.param(*_pf(q), None, id=f"q{q}") for q in DIGESTS if q <= 64]
+    + [pytest.param(p, f, m, id=f"q{p**f}-" + "".join(map(str, m))) for p, f, m in OTHER_MODULI],
+)
+def test_mul_and_inv_match_schoolbook_products(p, f, modulus):
+    F = make_field(p, f, modulus)
+    if modulus is not None:  # --modulus reaches the tables, not only the default
+        assert F.modulus == modulus != make_field(p, f).modulus
+    for a in F.elements():
+        assert F._mul[a] == [_schoolbook(F, a, b) for b in F.elements()], a
+        if a:
+            assert _schoolbook(F, a, F._inv[a]) == 1, a
+    assert F._inv[0] == 0

@@ -228,8 +228,12 @@ def test_multiply_satisfies_trace_form_duality(tag, pf):
         ("A2", (3, 3)),
         ("B2", (3, 3)),
         ("A2", (2, 5)),
-        # beyond any rep-table walk: no product is computed, so only the
-        # basis search bounds q; 127 folds at a large p
+        ("A2", (7, 2)),
+        ("B2", (7, 2)),
+        # beyond any rep-table walk: no product is computed, so q is bounded
+        # by the algebra's per-point set-up (a chi row and a basis record for
+        # each of the q^2 points) and the sampled closed forms; 127 folds at
+        # a large p
         pytest.param("A2", (127,), marks=pytest.mark.slow),
         pytest.param("A2", (2, 7), marks=pytest.mark.slow),
         pytest.param("A2", (3, 5), marks=pytest.mark.slow),
@@ -239,7 +243,7 @@ def test_multiply_satisfies_trace_form_duality(tag, pf):
         pytest.param("B2", (127,), marks=pytest.mark.slow),
         pytest.param("B2", (3, 5), marks=pytest.mark.slow),
     ],
-    ids=["A2-17", "B2-17", "A2-25", "B2-25", "A2-27", "B2-27", "A2-32",
+    ids=["A2-17", "B2-17", "A2-25", "B2-25", "A2-27", "B2-27", "A2-32", "A2-49", "B2-49",
          "A2-127", "A2-128", "A2-243", "A2-512", "B2-81", "B2-125", "B2-127", "B2-243"],
 )
 def test_closed_forms_satisfy_trace_form_duality(tag, pf):
