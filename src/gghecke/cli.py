@@ -177,8 +177,7 @@ def _records(args, fields: list):
 
 def _cmd_basis(args) -> int:
     H = _algebra_of(args)
-    basis = sorted(H.basis, key=lambda b: (b.kind, b.params))
-    rows = [(_point_str(b), b.kind, b.params, H.length(b)) for b in basis]
+    rows = [(_point_str(b), b.kind, b.params, H.length(b)) for b in sorted(H.basis)]
     with _records(args, ["point", "kind", "params", "length"]) as write:
         write(rows)
     return 0

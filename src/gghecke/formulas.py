@@ -26,15 +26,16 @@ class ClosedForms:
         """
         p = self.F.p
         counts = [0] * (2 * p - 1)
-        if 3 in (i.kind, j.kind):
-            counts[0] = int((j if i.kind == 3 else i) == k)
-        elif k.kind == 3:
-            self._unit_column(i, j, counts)
+        ki, kj, kk, s1, s2, s3 = i.kind, j.kind, k.kind, i.params, j.params, k.params
+        if 3 in (ki, kj):
+            counts[0] = int((j if ki == 3 else i) == k)
+        elif kk == 3:
+            self._unit_column((ki, kj), s1, s2, counts)
         else:
-            if i.kind > j.kind:
-                i, j = j, i
+            if ki > kj:
+                ki, kj, s1, s2 = kj, ki, s2, s1
             fn = self._f_a2 if self.tag == "A2" else self._f_b2
-            fn((i.kind, j.kind, k.kind), i.params, j.params, k.params, counts)
+            fn((ki, kj, kk), s1, s2, s3, counts)
         counts = [a + b for a, b in zip(counts, counts[p:])] + [counts[p - 1]]
         return CycloNum.from_zeta_counts(p, counts)
 
@@ -44,16 +45,16 @@ class ClosedForms:
         one of a, b is 0, and q - 1 at residue 0 when both are."""
         return self._kl[self.F.mul(a, b)] if a or b else (self.F.q - 1,)
 
-    def _unit_column(self, i, j, counts: list) -> None:
-        """Coefficient of the unit: q^l(w) where e_j is the inverse of e_i."""
-        F, s, t = self.F, i.params, j.params
+    def _unit_column(self, kinds: tuple, s: tuple, t: tuple, counts: list) -> None:
+        """Coefficient of the unit: q^l(w) where e_j (params t) inverts e_i (params s)."""
+        F = self.F
         opp = s[0] == F.neg(t[0])
         # kinds of i and j -> (whether e_j inverts e_i, l(w))
         if self.tag == "A2":
             cases = {(0, 0): (s == t[::-1], 3), (1, 2): (opp, 2), (2, 1): (opp, 2)}
         else:
             cases = {(0, 0): (s == t, 4), (1, 1): (s == t, 3), (2, 2): (opp, 3)}
-        ok, length = cases.get((i.kind, j.kind), (False, 0))
+        ok, length = cases.get(kinds, (False, 0))
         if ok:
             counts[0] += F.q**length
 

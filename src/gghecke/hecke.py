@@ -11,36 +11,38 @@ through e_1, e_2 products.
 
 from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import itemgetter
 
 from .chevalley import GroupElem, chevalley_group
 from .cyclo import CycloNum, phi, root_sum  # root_sum: perfbench/tracer.py wraps it here
 from .gf import Field
 from .intersect import distinguished_subexprs, intersect, rep_entries
-from .rootsys import Record, WeylElem
+from .rootsys import WeylElem
 
 __all__ = ["BasisElem", "HeckeVec", "HeckeAlgebra", "hecke_algebra"]
 
 _ARITY = {0: 2, 1: 1, 2: 1, 3: 0}
 
 
-class BasisElem(Record):
-    """Point (kind, params): kind 0 <-> (a,b), 1 <-> c, 2 <-> d, 3 <-> unit."""
+class BasisElem(tuple):
+    """Point e_kind(params): kind 0 <-> (a,b), 1 <-> c, 2 <-> d, 3 <-> unit.  It is
+    the flat tuple (kind, *params), equal to and hashed as that tuple."""
 
-    _fields = ("kind", "params")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = ()
 
-    def __init__(self, kind: int, params=()):
+    def __new__(cls, kind: int, params=()):
         if kind not in _ARITY:
             raise ValueError("kind must be 0..3")
-        params = tuple(params)
-        if len(params) != _ARITY[kind]:
+        b = tuple.__new__(cls, (kind, *params))
+        if len(b) != _ARITY[kind] + 1:
             raise ValueError("wrong parameter count for kind")
-        super().__init__(kind, params)
-        # every dict keyed by basis points hashes its keys: hash once
-        object.__setattr__(self, "_hash", hash((kind, params)))
+        return b
 
-    def __hash__(self) -> int:
-        return self._hash
+    kind = property(itemgetter(0))
+    params = property(itemgetter(slice(1, None)))
+
+    def __getnewargs__(self):
+        return self.kind, self.params
 
     def __repr__(self) -> str:
         return f"e{self.kind}({','.join(str(p) for p in self.params)})"
@@ -76,14 +78,13 @@ class HeckeVec:
         return len(self.coeffs)
 
     def __repr__(self) -> str:
-        inner = " + ".join(f"({v.render()})*{k!r}" for k, v in sorted(
-            self.coeffs.items(), key=lambda kv: (kv[0].kind, kv[0].params)))
+        inner = " + ".join(f"({v.render()})*{k!r}" for k, v in sorted(self.coeffs.items()))
         return inner or "0"
 
 
 class _Points(dict):
-    """Basis point -> (its index in the basis, torus pair t, chi_t at every root
-    index with slot 0 unused); a point not in the basis has a non-unit parameter."""
+    """Basis point (w, t) -> (its index in the basis, t, (chi_t(w^-1 alpha_1),
+    chi_t(w^-1 alpha_2))); a point not in the basis has a non-unit parameter."""
 
     def __missing__(self, b):
         raise ValueError("basis parameters must be units")
@@ -98,11 +99,11 @@ class HeckeAlgebra:
         self._bw = self.W.basis_elements()
         self._lengths = tuple(w.length() for w in self._bw)
         self._reptables = {}
-        G, rows, self._tor = self.G, {}, _Points()
+        W, chi, self._tor = self.W, self.G.chi_at, _Points()
+        roots = [(W.act(W.inv(y), 1), W.act(W.inv(y), 2)) for y in self._bw]  # y^-1 alpha_s
         for n, (b, t) in enumerate(self._compute_basis()):
-            if t not in rows:
-                rows[t] = (0,) + tuple(G.chi_at(t, r) for r in range(1, 2 * G.N + 1))
-            self._tor[b] = (n, t, rows[t])
+            r1, r2 = roots[b.kind]
+            self._tor[b] = (n, t, (chi(t, r1), chi(t, r2)))
         self.basis = tuple(self._tor)
         # row c is x -> trace(c*x); the trace is F_p-linear, so the trace of
         # a psi-argument is the sum of these rows over its terms, mod p
@@ -194,11 +195,11 @@ class HeckeAlgebra:
         zinv_x = W.mult(zinv, x)
         pz1, pz2 = W.act(zinv_x, 1), W.act(zinv_x, 2)
         wz1, wz2 = W.act(zinv, 1), W.act(zinv, 2)
-        route, one = {}, {}
-        for k, (n, _, chi) in self._tor.items():
+        route, one, chi = {}, {}, self.G.chi_at
+        for k, (n, t, _) in self._tor.items():
             if k.kind == kinds[2]:
-                cz = (F.inv(chi[pz1]), F.inv(chi[pz2]))
-                hop = (n, self._tr[chi[wz1]], self._tr[chi[wz2]])
+                cz = (F.inv(chi(t, pz1)), F.inv(chi(t, pz2)))
+                hop = (n, self._tr[chi(t, wz1)], self._tr[chi(t, wz2)])
                 route.setdefault(cz, []).append(hop)
                 one[n] = {cz: [hop]}
         buckets = defaultdict(Counter)  # (t0, t_mu) -> counts of its representatives' entries
@@ -211,16 +212,15 @@ class HeckeAlgebra:
             r = (F.div(tmu[0], t0[0]), F.div(tmu[1], t0[1]))
             index.setdefault(r, []).append((t0, [(*e, m) for e, m in counts.items()]))
             counts.clear()  # free each bucket's entries once the index holds them
-        py = (W.act(W.inv(y), 1), W.act(W.inv(y), 2))
-        tbl = self._reptables[kinds] = {"index": index, "py": py, "route": route, "one": one}
+        tbl = self._reptables[kinds] = {"index": index, "route": route, "one": one}
         return tbl
 
-    def _sweep(self, tbl: dict, tx: tuple, chi_y: tuple, route: dict) -> dict:
+    def _sweep(self, tbl: dict, tx: tuple, cy: tuple, route: dict) -> dict:
         """Zeta counts of S_ij^k by basis index of k, for the k in route.  Bucket
         (t0, tmu) serves the k whose pair cz solves tmu/t0 = cz*tx*cy componentwise;
         each key of the smaller side, route or ratio index, is looked up in the other."""
         p, rows, inv, tr = self.F.p, self.F._mul, self.F.inv, self._tr  # rows[c][x] = c*x
-        ry1, ry2 = rows[chi_y[tbl["py"][0]]], rows[chi_y[tbl["py"][1]]]
+        ry1, ry2 = rows[cy[0]], rows[cy[1]]
         xy1, xy2 = ry1[tx[0]], ry2[tx[1]]
         r1, r2 = rows[xy1], rows[xy2]  # x -> x*tx*cy componentwise
         index = tbl["index"]
@@ -263,19 +263,19 @@ class HeckeAlgebra:
             return CycloNum.from_zeta_counts(F.p, counts)
         if method != "fast":
             raise ValueError("method must be 'fast' or 'direct'")
-        (_, tx, _), (_, _, chi_y), (n, _, _) = self._tor[i], self._tor[j], self._tor[k]
+        (_, tx, _), (_, _, cy), (n, _, _) = self._tor[i], self._tor[j], self._tor[k]
         tbl = self._reps((i.kind, j.kind, k.kind))
-        counts = self._sweep(tbl, tx, chi_y, tbl["one"][n]).get(n, [0] * F.p)
+        counts = self._sweep(tbl, tx, cy, tbl["one"][n]).get(n, [0] * F.p)
         return CycloNum.from_zeta_counts(F.p, counts)
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
         """e_i e_j: one sweep of each of its four kind patterns."""
-        (_, tx, _), (_, _, chi_y) = self._tor[i], self._tor[j]
+        (_, tx, _), (_, _, cy) = self._tor[i], self._tor[j]
         vec = HeckeVec()  # filled in place, so its keys are hashed once
         p, basis, fold, out = self.F.p, self.basis, CycloNum.from_zeta_counts, vec.coeffs
         for kind in range(4):
             tbl = self._reps((i.kind, j.kind, kind))
-            for n, counts in self._sweep(tbl, tx, chi_y, tbl["route"]).items():
+            for n, counts in self._sweep(tbl, tx, cy, tbl["route"]).items():
                 if any(c := fold(p, counts)):  # a HeckeVec holds no zero value
                     out[basis[n]] = c
         return vec

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from gghecke.chevalley import Group
 from gghecke.cyclo import CycloNum, phi
 from gghecke.gf import make_field
-from gghecke.hecke import BasisElem, HeckeVec, hecke_algebra
+from gghecke.hecke import BasisElem, HeckeAlgebra, HeckeVec, hecke_algebra
 
 
 def test_basis_elem_validation():
@@ -23,6 +24,8 @@ def test_basis_elem_validation():
 def test_basis_elem_hash_and_equality():
     a, b = BasisElem(0, (1, 2)), BasisElem(0, [1, 2])
     assert a is not b and a == b and hash(a) == hash(b)
+    # a point is the flat tuple (kind, *params), never (kind, params)
+    assert a == (0, 1, 2) and hash(a) == hash((0, 1, 2))
     assert a != (0, (1, 2)) and a != BasisElem(0, (2, 1))
     assert len({a, b, BasisElem(3)}) == 2
     with pytest.raises(AttributeError):
@@ -243,15 +246,39 @@ def test_single_constant_agrees_with_multiply(monkeypatch):
 def test_character_table_matches_group(tag, q):
     F = make_field(*q)
     H = hecke_algebra(tag, F)
-    G = H.G
+    G, W = H.G, H.W
     pairs = set()
-    for b, (n, t, row) in H._tor.items():
-        assert H.basis[n] == b and H.point(b) == (H.W.basis_elements()[b.kind], t)
-        assert len(row) == 2 * G.N + 1
-        for idx in range(1, 2 * G.N + 1):
-            assert row[idx] == G.chi_at(t, idx), (t, idx)
+    # each point (y, t) keeps chi_t(y^-1 alpha_1), chi_t(y^-1 alpha_2), the two
+    # characters a sweep reads of it
+    for b, (n, t, cy) in H._tor.items():
+        y = W.basis_elements()[b.kind]
+        assert H.basis[n] == b and H.point(b) == (y, t)
+        assert cy == tuple(G.chi_at(t, W.act(W.inv(y), s)) for s in (1, 2)), (b, t)
         pairs.add(t)
     assert pairs == set(itertools.product(F.units(), repeat=2))
+
+
+@pytest.mark.parametrize("tag,pf", [("A2", (2, 6)), ("B2", (3, 3))], ids=["A2-64", "B2-27"])
+def test_setup_reads_two_characters_per_point(monkeypatch, tag, pf):
+    # set-up is linear in the basis: past the basis search, each point costs
+    # its two sweep characters, whatever the number of roots
+    F, calls = make_field(*pf), [0]
+    chi_at, compute_basis = Group.chi_at, HeckeAlgebra._compute_basis
+
+    def counted(self, t, idx):
+        calls[0] += 1
+        return chi_at(self, t, idx)
+
+    def uncounted_search(self):
+        before = calls[0]
+        out = compute_basis(self)
+        calls[0] = before
+        return out
+
+    monkeypatch.setattr(Group, "chi_at", counted)
+    monkeypatch.setattr(HeckeAlgebra, "_compute_basis", uncounted_search)
+    H = HeckeAlgebra(tag, F)
+    assert calls[0] == 2 * len(H.basis) == 2 * F.q**2
 
 
 @pytest.mark.parametrize("tag", ["A2", "B2"])

@@ -231,9 +231,8 @@ def test_multiply_satisfies_trace_form_duality(tag, pf):
         ("A2", (7, 2)),
         ("B2", (7, 2)),
         # beyond any rep-table walk: no product is computed, so q is bounded
-        # by the algebra's per-point set-up (a chi row and a basis record for
-        # each of the q^2 points) and the sampled closed forms; 127 folds at
-        # a large p
+        # by the algebra's per-point set-up (two characters for each of the
+        # q^2 points) and the sampled closed forms; 127 folds at a large p
         pytest.param("A2", (127,), marks=pytest.mark.slow),
         pytest.param("A2", (2, 7), marks=pytest.mark.slow),
         pytest.param("A2", (3, 5), marks=pytest.mark.slow),
@@ -264,3 +263,29 @@ def test_closed_forms_satisfy_trace_form_duality(tag, pf):
         if H.table_formula(i, j, k).scale(q ** H.length(k)) != want:
             bad.append((i, j, k))
     assert not bad, (len(bad), bad[:5])
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_closed_forms_associate(tag):
+    # (e_i e_j) e_l = e_i (e_j e_l) at e_m on table_formula alone:
+    # sum_k S_ij^k S_kl^m = sum_k S_jl^k S_ik^m, no product computed.  One seeded
+    # (i, j, l) per kind pattern, and m in the support of some e_k e_l with
+    # S_ij^k != 0, so the left side has a nonzero term (all 64 sums are nonzero
+    # with this seed).  A negated (0,0,0) closed form fails 12 patterns at A2
+    # and 13 at B2, where the trace-form duality above passes it
+    H = HeckeAlgebra(tag, make_field(17))
+    f, zero = H.table_formula, CycloNum.zero(H.F.p)
+    rng = random.Random(17)
+    by_kind = [[b for b in H.basis if b.kind == kind] for kind in range(4)]
+    bad = []
+    for kinds in product(range(4), repeat=3):
+        i, j, l = (rng.choice(by_kind[kind]) for kind in kinds)
+        ij = {k: c for k in H.basis if any(c := f(i, j, k))}
+        jl = {k: c for k in H.basis if any(c := f(j, l, k))}
+        k0 = rng.choice(sorted(ij))
+        m = rng.choice([m for m in H.basis if any(f(k0, l, m))])
+        left = sum((c * f(k, l, m) for k, c in ij.items()), zero)
+        right = sum((c * f(i, k, m) for k, c in jl.items()), zero)
+        if left != right:
+            bad.append((i, j, l, m, left, right))
+    assert not bad, (len(bad), bad[:3])

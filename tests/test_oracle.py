@@ -110,3 +110,17 @@ def test_brute_intersect_matches_enumerator():
         brute = brute_intersect(px, py, pz, G)
         fast = {left_coset_key(r.g) for r in intersect(x, tx, y, ty, z, tz, group=G)}
         assert set(brute) == fast, (i, j, k)
+
+
+def test_mode1_row_over_first_extension_field():
+    # the oracle over F_4, where Tr is not the identity: one whole row (a kind-0
+    # i, every j and k) against both the fast path and the closed forms
+    H = hecke_algebra("A2", make_field(2, 2))
+    i = next(b for b in H.basis if b.kind == 0)
+    bad = []
+    for j, k in itertools.product(H.basis, repeat=2):
+        brute = brute_constant(H, i, j, k, mode=1)
+        fast, closed = H.structure_constant(i, j, k), H.table_formula(i, j, k)
+        if not brute == fast == closed:
+            bad.append(((i, j, k), brute, fast, closed))
+    assert not bad, (len(bad), bad[:3])
