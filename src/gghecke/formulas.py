@@ -1,6 +1,14 @@
 """Printed closed forms for PGL3(q) (A2) and SO5(q) (B2), an independent route:
-it imports only cyclo and gf.  cyclo.root_sum is looked up per call, so the
-perfbench tracer's wrapper of that name counts only while it is installed."""
+it imports only cyclo and gf.
+
+Each kind pattern's form is its own function, built once per field by its
+type's factory: it indexes the field's rows F._add, F._mul, F._neg, F._inv and
+the trace rows, and returns the p counts of its value over zeta exponents
+0..p-1.  A multiple of phi(x) adds at Tr(x), a Gauss-sum term the square counts,
+a root sum the counts of cyclo.root_sum, a sum of phi(a w + b/w) over units w
+one Kloosterman row, each rotated by the trace of any phi factor, mod p; rows
+summed many times are read pre-rotated from per-field tables.  cyclo.root_sum is
+looked up per call, so the perfbench tracer's wrapper counts only while installed."""
 
 from . import cyclo, gf
 from .cyclo import CycloNum, kloosterman_counts, square_counts
@@ -12,342 +20,334 @@ class ClosedForms:
     """The closed forms of one algebra, given its trace rows (c -> x -> Tr(cx))."""
 
     def __init__(self, tag: str, F: gf.Field, tr: list):
-        self.tag, self.F, self._tr = tag, F, tr
-        # t^n (n = 1, 2, 3, 4, -1, -2) per unit t; Kloosterman and square counts
-        self._tpow = [tuple(F.pow(t, n) for n in (1, 2, 3, 4, -1, -2)) for t in F.units()]
-        self._kl, self._sq = kloosterman_counts(F), square_counts(F)
+        self._p = F.p
+        zero, one = (0,) * F.p, (1,) + (0,) * (F.p - 1)
+        # (kind of i, kind of j, kind of k), i of the smaller kind -> its form: [i = k]
+        # for j = e3, and fXYZ of the type's factory for the kinds (X, Y, Z)
+        self._forms = dict.fromkeys([(ki, kj, kk) for ki in range(4) for kj in range(ki, 4)
+                                     for kk in range(4)], lambda i, j, k: zero)
+        self._forms.update({(kind, 3, kind): lambda i, j, k: one if i == k else zero
+                            for kind in range(4)})
+        scope = (_a2_forms if tag == "A2" else _b2_forms)(F, tr)
+        self._forms.update((tuple(map(int, name[1:])), form) for name, form in scope.items()
+                           if name[0] == "f" and name[1:].isdigit())
 
     def value(self, i, j, k) -> CycloNum:
-        """Exact value of the printed closed form for S_{ij}^k.
-
-        Every case adds into one list of counts over zeta exponents 0..2p-2
-        (a trace, or a count vector rotated by a trace); exponent k + p is zeta^k,
-        so the list is folded to p counts and read as one CycloNum.
-        """
-        p = self.F.p
-        counts = [0] * (2 * p - 1)
-        ki, kj, kk, s1, s2, s3 = i.kind, j.kind, k.kind, i.params, j.params, k.params
-        if 3 in (ki, kj):
-            counts[0] = int((j if ki == 3 else i) == k)
-        elif kk == 3:
-            self._unit_column((ki, kj), s1, s2, counts)
-        else:
-            if ki > kj:
-                ki, kj, s1, s2 = kj, ki, s2, s1
-            fn = self._f_a2 if self.tag == "A2" else self._f_b2
-            fn((ki, kj, kk), s1, s2, s3, counts)
-        counts = [a + b for a, b in zip(counts, counts[p:])] + [counts[p - 1]]
-        return CycloNum.from_zeta_counts(p, counts)
-
-    def _unit_sum(self, a: int, b: int) -> tuple:
-        """Count vector of the sum over units w of phi(a w + b/w).  For units a, b,
-        w -> w/a makes it row ab of the Kloosterman counts; it is row 0 when just
-        one of a, b is 0, and q - 1 at residue 0 when both are."""
-        return self._kl[self.F.mul(a, b)] if a or b else (self.F.q - 1,)
-
-    def _unit_column(self, kinds: tuple, s: tuple, t: tuple, counts: list) -> None:
-        """Coefficient of the unit: q^l(w) where e_j (params t) inverts e_i (params s)."""
-        F = self.F
-        opp = s[0] == F.neg(t[0])
-        # kinds of i and j -> (whether e_j inverts e_i, l(w))
-        if self.tag == "A2":
-            cases = {(0, 0): (s == t[::-1], 3), (1, 2): (opp, 2), (2, 1): (opp, 2)}
-        else:
-            cases = {(0, 0): (s == t, 4), (1, 1): (s == t, 3), (2, 2): (opp, 3)}
-        ok, length = cases.get(kinds, (False, 0))
-        if ok:
-            counts[0] += F.q**length
-
-    def _f_a2(self, kinds, s1, s2, s3, counts: list) -> None:
-        F = self.F
-        q = F.q
-        add, sub, mul, div, neg, inv, trace = F.add, F.sub, F.mul, F.div, F.neg, F.inv, F.trace
-        root_sum = cyclo.root_sum
-        m1 = F.neg(1)
-
-        def m3(a, b, c):
-            return mul(mul(a, b), c)
-
-        if kinds == (0, 0, 0):
-            (a1, b1), (a2, b2), (a3, b3) = s1, s2, s3
-            target = div(mul(a1, mul(b1, b1)), m3(mul(a2, a2), a3, mul(b2, mul(b3, b3))))
-            for z in F.rth_roots(target, 3):
-                sig1 = add(
-                    add(m1, neg(div(b3, b1))),
-                    add(
-                        mul(z, neg(add(div(m3(a2, b2, b3), mul(a1, b1)), div(mul(a2, b3), b1)))),
-                        div(neg(add(inv(a2), inv(a3))), z),
-                    ),
-                )
-                sig2 = sub(sub(neg(inv(b3)), z), div(div(b1, m3(a2, b2, b3)), z))
-                _add(counts, self._unit_sum(sig1, sig2))
-            if m3(a1, a2, b3) == neg(m3(a3, b1, b2)) and mul(a1, b3) == sub(
-                mul(a1, b1), mul(b1, b2)
-            ):
-                counts[0] += q
-        elif kinds == (0, 0, 1):
-            (a1, b1), (a2, b2), (c3,) = s1, s2, s3
-            target = div(m3(a1, a1, b1), m3(a2, mul(b2, b2), c3))
-            aa = sub(sub(m1, div(b2, a1)), div(mul(a2, b2), mul(a1, b1)))
-            bb = sub(neg(inv(b2)), div(a1, mul(a2, b2)))
-            _add(counts, root_sum(F, 3, target, aa, bb), 0, q)
-        elif kinds == (0, 0, 2):
-            (a1, b1), (a2, b2), (d3,) = s1, s2, s3
-            target = div(mul(a1, mul(b1, b1)), m3(mul(a2, a2), b2, d3))
-            aa = sub(sub(m1, div(a2, b1)), div(mul(a2, b2), mul(a1, b1)))
-            bb = sub(neg(inv(a2)), div(b1, mul(a2, b2)))
-            _add(counts, root_sum(F, 3, target, aa, bb), 0, q)
-        elif kinds == (0, 1, 0):
-            (a1, b1), (c2,), (a3, b3) = s1, s2, s3
-            target = div(mul(b1, c2), m3(a1, mul(a3, a3), b3))
-            aa = add(1, div(a3, b1))
-            bb = add(add(inv(a1), inv(a3)), div(b1, mul(a3, b3)))
-            _add(counts, root_sum(F, 3, target, aa, bb))
-        elif kinds == (0, 1, 1):
-            (a1, b1), (c2,), (c3,) = s1, s2, s3
-            if mul(a1, c3) == neg(mul(c2, b1)):
-                counts[trace(div(a1, c2))] += q
-        elif kinds == (0, 1, 2):
-            (a1, b1), (c2,), (d3,) = s1, s2, s3
-            if mul(c2, d3) == neg(mul(a1, mul(b1, b1))):
-                counts[trace(sub(div(b1, c2), div(b1, d3)))] += q
-        elif kinds == (0, 2, 0):
-            (a1, b1), (d2,), (a3, b3) = s1, s2, s3
-            target = div(mul(a1, d2), mul(mul(a3, b1), mul(b3, b3)))
-            aa = add(1, div(b3, a1))
-            bb = add(add(inv(b1), inv(b3)), div(a1, mul(a3, b3)))
-            _add(counts, root_sum(F, 3, target, aa, bb))
-        elif kinds == (0, 2, 1):
-            (a1, b1), (d2,), (c3,) = s1, s2, s3
-            if mul(c3, d2) == neg(mul(mul(a1, a1), b1)):
-                counts[trace(sub(div(a1, d2), div(a1, c3)))] += q
-        elif kinds == (0, 2, 2):
-            (a1, b1), (d2,), (d3,) = s1, s2, s3
-            if mul(b1, d3) == neg(mul(a1, d2)):
-                counts[trace(div(b1, d2))] += q
-        elif kinds == (1, 1, 0):
-            (c1,), (c2,), (a3, b3) = s1, s2, s3
-            if mul(c1, c2) == mul(mul(a3, a3), b3):
-                counts[trace(add(div(a3, c1), div(a3, c2)))] += 1
-        elif kinds == (1, 1, 2):
-            (c1,), (c2,), (d3,) = s1, s2, s3
-            if c1 == neg(d3) and c1 == c2:
-                counts[0] += q
-        elif kinds == (1, 2, 0):
-            (c1,), (d2,), (a3, b3) = s1, s2, s3
-            if mul(a3, c1) == mul(b3, d2):
-                counts[trace(div(a3, d2))] += 1
-        elif kinds == (2, 2, 0):
-            (d1,), (d2,), (a3, b3) = s1, s2, s3
-            if mul(d1, d2) == mul(a3, mul(b3, b3)):
-                counts[trace(add(div(b3, d2), div(b3, d1)))] += 1
-        elif kinds == (2, 2, 1):
-            (d1,), (d2,), (c3,) = s1, s2, s3
-            if d1 == neg(c3) and d1 == d2:
-                counts[0] += q
-        elif kinds not in ((1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 2)):
-            raise ValueError(f"no closed form for kinds {kinds}")
-
-    def _f_b2(self, kinds, s1, s2, s3, counts: list) -> None:
-        F = self.F
-        p, q = F.p, F.q
-        add, sub, mul, div, neg, inv, trace = F.add, F.sub, F.mul, F.div, F.neg, F.inv, F.trace
-        unit, squares = self._unit_sum, self._sq
-        root_sum = cyclo.root_sum
-        m1 = F.neg(1)
-
-        def m3(a, b, c):
-            return mul(mul(a, b), c)
-
-        def legendre(x):
-            return 1 if F.is_square(x) else -1
-
-        if kinds == (0, 0, 0):
-            (a1, b1), (a2, b2), (a3, b3) = s1, s2, s3
-            A, B = div(a1, mul(a2, a3)), div(b1, mul(b2, b3))
-            zs = F.rth_roots(B, 2)
-            if not zs:
-                return
-            # branch one: q at Tr(arg) per root pair z1^2 = -A, z2^2 = B on a line
-            lhs = sub(div(b2, b1), 1)
-            coef = div(m3(a3, b2, b3), mul(a1, b1))
-            c1 = sub(add(m1, div(a2, a1)), div(a3, a1))
-            c2 = mul(F.of(2), div(b2, b1))
-            for z1 in F.rth_roots(neg(A), 2):
-                for z2 in zs:
-                    if lhs == mul(coef, mul(z1, z2)):
-                        counts[trace(add(mul(c1, z1), mul(c2, z2)))] += q
-            # branch two: chi(aa) G phi(arg) per root z; G phi(arg) is the sum over
-            # x of zeta^(Tr(x^2) + Tr(arg)): the square counts rotated by Tr(arg)
-            bb = sub(1, div(a3, a1))
-            for z in zs:
-                aa = div(mul(a2, a3), m3(a1, b3, z))
-                cc = add(z, add(div(inv(b2), z), div(inv(b3), z)))
-                s = trace(sub(cc, div(mul(bb, bb), mul(F.of(4), aa))))
-                _add(counts, squares, s, legendre(aa))
-            # branch three: sum over roots z and units t of phi(outer) times
-            # sum_w phi(ka w + kb/w), where outer = o2 t^2 + o1 t + om/t,
-            # ka = k4 t^4 + k3 t^3 + k2 t^2 + k1 t - 1, kb = l0 + l1/t + l2/t^2:
-            # the unit sum of ka, kb rotated by Tr(outer), read from the trace
-            # rows of o2, o1, om.
-            tr = self._tr
-            tr1 = tr[neg(div(add(mul(a2, A), 1), mul(a2, A)))]
-            trm = tr[neg(inv(a3))]
-            k4 = neg(inv(m3(b3, mul(A, A), B)))
-            k2 = neg(div(add(mul(b3, B), 1), m3(b3, A, B)))
-            l0, l2 = neg(inv(b3)), neg(div(A, b2))
-            for z in zs:
-                tr2 = tr[neg(div(F.of(2), m3(b3, A, z)))]
-                k3 = neg(inv(m3(a2, mul(A, A), z)))
-                k1 = neg(inv(m3(a2, A, z)))
-                l1 = neg(mul(A, z))
-                for t, t2, t3, t4, ti, ti2 in self._tpow:
-                    s = (tr2[t2] + tr1[t] + trm[ti]) % p
-                    ka = add(add(add(mul(k4, t4), mul(k3, t3)), add(mul(k2, t2), mul(k1, t))), m1)
-                    kb = add(add(l0, mul(l1, ti)), mul(l2, ti2))
-                    _add(counts, unit(ka, kb), s)
-        elif kinds == (0, 0, 1):
-            (a1, b1), (a2, b2), (c3,) = s1, s2, s3
-            for z in F.rth_roots(div(b1, mul(b2, c3)), 2):
-                aa = add(
-                    sub(
-                        sub(sub(m1, div(a1, a2)), div(b2, b1)),
-                        div(mul(a2, b2), mul(a1, b1)),
-                    ),
-                    add(inv(mul(a2, z)), inv(mul(a1, z))),
-                )
-                bb = sub(z, inv(b2))
-                _add(counts, unit(aa, bb), 0, q)
-                if a1 == neg(a2) and inv(mul(a1, z)) == sub(div(b2, b1), 1):
-                    counts[0] += q * q
-        elif kinds == (0, 0, 2):
-            (a1, b1), (a2, b2), (d3,) = s1, s2, s3
-            for z in F.rth_roots(div(b1, b2), 2):
-                t1 = mul(
-                    mul(a2, d3),
-                    sub(
-                        sub(div(F.of(2), mul(a1, z)), div(b2, mul(a1, b1))),
-                        inv(a1),
-                    ),
-                )
-                t2 = mul(d3, sub(inv(mul(a1, z)), inv(a1)))
-                t3 = sub(div(mul(a1, z), mul(a2, d3)), inv(d3))
-                t4 = neg(div(a1, m3(a2, b2, d3)))
-                _add(counts, root_sum(F, q - 1, 1, t2, t3, t1, t4), 0, q)
-            if b1 == b2:
-                sgn = legendre(neg(div(mul(a2, d3), a1)))
-                _add(counts, squares, trace(div(d3, mul(F.of(4), mul(a1, a2)))), sgn * q)
-        elif kinds == (0, 1, 0):
-            (a1, b1), (c2,), (a3, b3) = s1, s2, s3
-            for z in F.rth_roots(div(c2, mul(b1, b3)), 2):
-                aa = sub(
-                    sub(
-                        sub(neg(mul(z, b3)), mul(div(mul(a3, b3), a1), z)),
-                        div(c2, b1),
-                    ),
-                    div(mul(a3, c2), mul(a1, b1)),
-                )
-                bb = sub(
-                    sub(neg(mul(div(b1, mul(a3, c2)), z)), div(mul(a1, b1), m3(a3, b3, c2))),
-                    inv(c2),
-                )
-                _add(counts, unit(aa, bb))
-            if a1 == neg(a3):
-                for z in F.rth_roots(div(b1, mul(b3, c2)), 2):
-                    if inv(z) == neg(div(c2, b1)):
-                        counts[0] += q
-        elif kinds == (0, 1, 1):
-            (a1, b1), (c2,), (c3,) = s1, s2, s3
-            target = m3(b1, c2, c3)
-            bb = add(mul(a1, b1), add(c2, c3))
-            _add(counts, root_sum(F, 2, target, 0, bb), 0, q)
-        elif kinds == (0, 1, 2):
-            (a1, b1), (c2,), (d3,) = s1, s2, s3
-            pref = trace(sub(neg(div(a1, d3)), div(d3, mul(a1, b1))))
-            _add(counts, root_sum(F, 2, div(b1, c2), 1, inv(a1)), pref, q)
-        elif kinds == (0, 2, 0):
-            (a1, b1), (d2,), (a3, b3) = s1, s2, s3
-            for z in F.rth_roots(div(b1, b3), 2):
-                t1 = mul(
-                    mul(a3, d2),
-                    add(
-                        add(div(F.of(2), m3(a1, b3, z)), inv(mul(a1, b3))),
-                        inv(mul(a1, b1)),
-                    ),
-                )
-                t2 = sub(
-                    sub(sub(m1, z), div(a3, mul(a1, z))),
-                    div(a3, a1),
-                )
-                t3 = neg(inv(a3))
-                t4 = div(a1, mul(a3, d2))
-                _add(counts, root_sum(F, q - 1, 1, t2, t3, t1, t4))
-            if b1 == b3:
-                sgn = legendre(div(mul(a3, d2), mul(a1, b3)))
-                dd = sub(1, div(a3, a1))
-                arg = neg(
-                    mul(
-                        div(mul(a1, b3), mul(F.of(4), mul(a3, d2))),
-                        mul(dd, dd),
-                    )
-                )
-                _add(counts, squares, trace(arg), sgn)
-        elif kinds == (0, 2, 1):
-            (a1, b1), (d2,), (c3,) = s1, s2, s3
-            pref = trace(add(div(a1, d2), div(d2, mul(a1, b1))))
-            _add(counts, root_sum(F, 2, div(b1, c3), 1, inv(a1)), pref, q)
-        elif kinds == (0, 2, 2):
-            (a1, b1), (d2,), (d3,) = s1, s2, s3
-            for z1 in F.rth_roots(neg(div(a1, mul(d2, d3))), 2):
-                for z3 in F.rth_roots(neg(div(mul(a1, b1), mul(d2, d3))), 2):
-                    arg = add(
-                        add(z3, neg(inv(mul(d3, z1)))),
-                        add(inv(mul(d2, z1)), mul(F.of(2), div(z1, z3))),
-                    )
-                    counts[trace(arg)] += q
-        elif kinds == (1, 1, 0):
-            (c1,), (c2,), (a3, b3) = s1, s2, s3
-            target = div(c1, mul(b3, c2))
-            bb = add(div(a3, c2), inv(b3))
-            _add(counts, root_sum(F, 2, target, 1, bb))
-        elif kinds == (1, 1, 2):
-            (c1,), (c2,), (d3,) = s1, s2, s3
-            if c1 == c2:
-                counts[trace(neg(div(d3, c2)))] += q
-        elif kinds == (1, 2, 0):
-            (c1,), (d2,), (a3, b3) = s1, s2, s3
-            pref = trace(add(div(a3, d2), div(d2, mul(b3, a3))))
-            _add(counts, root_sum(F, 2, div(b3, c1), 1, inv(a3)), pref)
-        elif kinds == (1, 2, 1):
-            (c1,), (d2,), (c3,) = s1, s2, s3
-            if c1 == c3:
-                counts[trace(div(d2, c3))] += q
-        elif kinds == (1, 2, 2):
-            (c1,), (d2,), (d3,) = s1, s2, s3
-            if d2 == neg(d3):
-                for z in F.rth_roots(c1, 2):
-                    counts[trace(div(z, d3))] += q
-        elif kinds == (2, 2, 0):
-            (d1,), (d2,), (a3, b3) = s1, s2, s3
-            for z1 in F.rth_roots(div(d1, mul(a3, d2)), 2):
-                for z3 in F.rth_roots(div(d1, m3(a3, b3, d2)), 2):
-                    arg = add(
-                        add(neg(z1), neg(inv(mul(d2, z3)))),
-                        add(neg(inv(mul(a3, z1))), mul(F.of(2), div(z1, mul(b3, z3)))),
-                    )
-                    counts[trace(arg)] += 1
-        elif kinds == (2, 2, 1):
-            (d1,), (d2,), (c3,) = s1, s2, s3
-            if d1 == d2:
-                _add(counts, root_sum(F, 2, inv(c3), 0, inv(d2)), 0, q)
-        elif kinds == (2, 2, 2):
-            (d1,), (d2,), (d3,) = s1, s2, s3
-            _add(counts, squares, 0, legendre(m3(d1, d2, d3)))
-        elif kinds != (1, 1, 1):
-            raise ValueError(f"no closed form for kinds {kinds}")
+        """Exact value of the printed closed form for S_{ij}^k: with i the one of smaller
+        kind (S_ij^k = S_ji^k), the form of the kinds (i, j, k) is one dict lookup, and
+        its p counts are read as one CycloNum.  ValueError for other kinds."""
+        if i[0] > j[0]:
+            i, j = j, i
+        try:
+            form = self._forms[i[0], j[0], k[0]]
+        except KeyError:
+            raise ValueError(f"no closed form for kinds {(i[0], j[0], k[0])}") from None
+        return CycloNum.from_zeta_counts(self._p, form(i, j, k))
 
 
-def _add(counts: list, vec, s: int = 0, m: int = 1) -> None:
-    """counts += m * zeta^s * vec, for vec a count vector over exponents 0..p-1."""
-    for r, n in enumerate(vec, s):
-        counts[r] += m * n
+def _rot(counts, s: int):
+    """counts times zeta^s: entry r moves to r + s mod p."""
+    return counts[-s:] + counts[:-s]
+
+
+def _roots(F: gf.Field, r: int) -> list:
+    """Row a: the r-th roots of a; row 0 is empty, as every form's target is a unit."""
+    return [()] + [tuple(F.rth_roots(a, r)) for a in F.units()]
+
+
+def _unit_sums(F: gf.Field) -> tuple:
+    """(um, rows): the sum over units w of phi(a w + b/w) has the counts
+    rows[um[a][b]].  For units a, b, w -> w/a makes it the Kloosterman row ab;
+    it is row 0 when just one of a, b is 0, and row q (q - 1 at exponent 0)
+    when both are, so um is the multiplication table with um[0][0] = q."""
+    q = F.q
+    um = [[q] + [0] * (q - 1)] + F._mul[1:]
+    return um, kloosterman_counts(F) + ((q - 1,) + (0,) * (F.p - 1),)
+
+
+def _a2_forms(F: gf.Field, tr: list) -> dict:
+    """The scope of A2's forms, fXYZ for the kinds (X, Y, Z); the rest are 0."""
+    p, q = F.p, F.q
+    A, M, N, I, T = F._add, F._mul, F._neg, F._inv, F._trace
+    m1, zero, cbrt, (um, kl) = N[1], (0,) * p, _roots(F, 3), _unit_sums(F)
+    q2, q3 = (q**2,) + zero[1:], (q**3,) + zero[1:]
+    q_at, one_at = ([_rot((n,) + zero[1:], s) for s in range(p)] for n in (q, 1))
+
+    def f000(i, j, k):
+        (_, a1, b1), (_, a2, b2), (_, a3, b3) = i, j, k
+        ib1, a2b3 = I[b1], M[a2][b3]
+        a2b2b3 = M[a2b3][b2]
+        # per cube root z of a1 b1^2 / (a2^2 a3 b2 b3^2), the unit sum of
+        # sig1 = c0 + c1 z + c2/z and sig2 = d0 - z - d1/z
+        c0, c1 = A[m1][N[M[b3][ib1]]], N[A[M[a2b2b3][I[M[a1][b1]]]][M[a2b3][ib1]]]
+        c2, d0, d1 = N[A[I[a2]][I[a3]]], N[I[b3]], M[b1][I[a2b2b3]]
+        counts = zero
+        for z in cbrt[M[M[a1][M[b1][b1]]][I[M[M[M[a2][a2]][a3]][M[b2][M[b3][b3]]]]]]:
+            iz = I[z]
+            sig1, sig2 = A[c0][A[M[c1][z]][M[c2][iz]]], A[d0][N[A[z][M[d1][iz]]]]
+            counts = [a + b for a, b in zip(counts, kl[um[sig1][sig2]])]
+        if M[M[a1][a2]][b3] == N[M[M[a3][b1]][b2]] and M[a1][b3] == M[b1][A[a1][N[b2]]]:
+            counts = [counts[0] + q, *counts[1:]]
+        return counts
+
+    # a root sum over cube roots, with q for a kind-1 or kind-2 k
+    def f001(i, j, k):
+        (_, a1, b1), (_, a2, b2), (_, c3) = i, j, k
+        a2b2 = M[a2][b2]
+        target = M[M[M[a1][a1]][b1]][I[M[M[a2b2][b2]][c3]]]
+        aa, bb = A[m1][N[A[M[b2][I[a1]]][M[a2b2][I[M[a1][b1]]]]]], N[A[I[b2]][M[a1][I[a2b2]]]]
+        return [q * n for n in cyclo.root_sum(F, 3, target, aa, bb)]
+    def f002(i, j, k):
+        (_, a1, b1), (_, a2, b2), (_, d3) = i, j, k
+        a2b2 = M[a2][b2]
+        target = M[M[a1][M[b1][b1]]][I[M[M[a2b2][a2]][d3]]]
+        aa, bb = A[m1][N[A[M[a2][I[b1]]][M[a2b2][I[M[a1][b1]]]]]], N[A[I[a2]][M[b1][I[a2b2]]]]
+        return [q * n for n in cyclo.root_sum(F, 3, target, aa, bb)]
+    def f010(i, j, k):
+        (_, a1, b1), (_, c2), (_, a3, b3) = i, j, k
+        a3b3 = M[a3][b3]
+        target, bb = M[M[b1][c2]][I[M[M[a1][a3]][a3b3]]], A[A[I[a1]][I[a3]]][M[b1][I[a3b3]]]
+        return cyclo.root_sum(F, 3, target, A[1][M[a3][I[b1]]], bb)
+    def f020(i, j, k):
+        (_, a1, b1), (_, d2), (_, a3, b3) = i, j, k
+        a3b3 = M[a3][b3]
+        target, bb = M[M[a1][d2]][I[M[M[b1][b3]][a3b3]]], A[A[I[b1]][I[b3]]][M[a1][I[a3b3]]]
+        return cyclo.root_sum(F, 3, target, A[1][M[b3][I[a1]]], bb)
+
+    # one multiple of phi(x) on a condition
+    def f011(i, j, k):
+        (_, a1, b1), (_, c2), (_, c3) = i, j, k
+        return q_at[tr[a1][I[c2]]] if M[a1][c3] == N[M[c2][b1]] else zero
+    def f012(i, j, k):
+        (_, a1, b1), (_, c2), (_, d3) = i, j, k
+        return q_at[tr[b1][A[I[c2]][N[I[d3]]]]] if M[c2][d3] == N[M[a1][M[b1][b1]]] else zero
+    def f021(i, j, k):
+        (_, a1, b1), (_, d2), (_, c3) = i, j, k
+        return q_at[tr[a1][A[I[d2]][N[I[c3]]]]] if M[c3][d2] == N[M[M[a1][a1]][b1]] else zero
+    def f022(i, j, k):
+        (_, a1, b1), (_, d2), (_, d3) = i, j, k
+        return q_at[tr[b1][I[d2]]] if M[b1][d3] == N[M[a1][d2]] else zero
+    def f110(i, j, k):
+        (_, c1), (_, c2), (_, a3, b3) = i, j, k
+        return one_at[tr[a3][A[I[c1]][I[c2]]]] if M[c1][c2] == M[M[a3][a3]][b3] else zero
+    def f112(i, j, k):
+        (_, c1), (_, c2), (_, d3) = i, j, k
+        return q_at[0] if c1 == N[d3] and c1 == c2 else zero
+    def f120(i, j, k):
+        (_, c1), (_, d2), (_, a3, b3) = i, j, k
+        return one_at[tr[a3][I[d2]]] if M[a3][c1] == M[b3][d2] else zero
+    def f220(i, j, k):
+        (_, d1), (_, d2), (_, a3, b3) = i, j, k
+        return one_at[tr[b3][A[I[d2]][I[d1]]]] if M[d1][d2] == M[a3][M[b3][b3]] else zero
+    def f221(i, j, k):
+        (_, d1), (_, d2), (_, c3) = i, j, k
+        return q_at[0] if d1 == N[c3] and d1 == d2 else zero
+
+    # k = e3: q^l(w) where e_j inverts e_i
+    def f003(i, j, k):
+        return q3 if i[1:] == j[:0:-1] else zero
+    def f123(i, j, k):
+        return q2 if i[1] == N[j[1]] else zero
+
+    return locals()
+
+
+def _b2_forms(F: gf.Field, tr: list) -> dict:
+    """The scope of B2's forms, fXYZ for the kinds (X, Y, Z); the rest are 0."""
+    p, q = F.p, F.q
+    A, M, N, I, T = F._add, F._mul, F._neg, F._inv, F._trace
+    m1, two, four, zero = N[1], F.of(2), F.of(4), (0,) * p
+    sqrt, (um, kl), sq = _roots(F, 2), _unit_sums(F), square_counts(F)
+    q3, q4 = (q**3,) + zero[1:], (q**4,) + zero[1:]
+    q_at = [_rot((q,) + zero[1:], s) for s in range(p)]
+    chi = [1 if F.is_square(x) else -1 for x in F.elements()]  # 1 at 0, as printed
+    tpow = [(t, *(F.pow(t, n) for n in (2, 3, 4, -1, -2))) for t in F.units()]
+    # a form of many terms sums rows packed into one int, p fields of w bits,
+    # so that adding a rotated row is one int addition.  The sum starts at
+    # bias, half of each field's range, so that counts of either sign unpack
+    # exactly; no count of one form reaches 4 q^2 in size.
+    w = (16 * q * q).bit_length()
+    sh = range(0, w * p, w)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << s for s in sh)
+
+    def pack(counts) -> int:
+        return sum(n << s for n, s in zip(counts, sh))
+    def unpack(acc: int) -> list:
+        return [((acc >> s) & mask) - half for s in sh]
+
+    klp = [[pack(_rot(row, s)) for s in range(p)] for row in kl]
+    sqp, qp = [pack(_rot(sq, s)) for s in range(p)], [q << s for s in sh]
+
+    def f000(i, j, k):
+        (_, a1, b1), (_, a2, b2), (_, a3, b3) = i, j, k
+        ia1 = I[a1]
+        Aq, Bq = M[a1][I[M[a2][a3]]], M[b1][I[M[b2][b3]]]  # A = a1/(a2 a3), B = b1/(b2 b3)
+        if not (zs := sqrt[Bq]):
+            return zero
+        acc = bias
+        # branch one: q at Tr(c1 z1 + c2 z2) per root pair z1^2 = -A, z2^2 = B
+        # on the line b2/b1 - 1 = a3 b2 b3/(a1 b1) z1 z2
+        b2b1 = M[b2][I[b1]]
+        lhs, coef = A[b2b1][m1], M[M[a3][b3]][M[b2b1][ia1]]
+        c1, c2 = A[m1][M[A[a2][N[a3]]][ia1]], M[two][b2b1]
+        for z1 in sqrt[N[Aq]]:
+            cz1 = M[coef][z1]
+            for z2 in zs:
+                if lhs == M[cz1][z2]:
+                    acc += qp[T[A[M[c1][z1]][M[c2][z2]]]]
+        # branch two: chi(aa) G phi(arg) per root z, aa = e/z, arg = z + f/z -
+        # bb^2/(4 aa); G phi(arg) is the sum over x of zeta^(Tr(x^2) + Tr(arg)):
+        # the square counts rotated by Tr(arg)
+        bb = A[1][N[M[a3][ia1]]]
+        bb2, e, f = M[bb][bb], M[M[a2][a3]][I[M[a1][b3]]], A[I[b2]][I[b3]]
+        for z in zs:
+            iz = I[z]
+            aa = M[e][iz]
+            acc += chi[aa] * sqp[T[A[A[z][M[f][iz]]][N[M[bb2][I[M[four][aa]]]]]]]
+        # branch three: sum over roots z and units t of phi(outer) times the unit
+        # sum of ka, kb, where outer = o2 t^2 + o1 t + om/t, ka = k4 t^4 + k3 t^3 +
+        # k2 t^2 + k1 t - 1, kb = l0 + l1/t + l2/t^2: the unit-sum row rotated by
+        # Tr(outer), from the trace rows of o2, o1, om and the rows of the k, l
+        a2A, b3B = M[a2][Aq], M[b3][Bq]
+        tr1, trm = tr[N[M[A[a2A][1]][I[a2A]]]], tr[N[I[a3]]]
+        M4, M2 = M[N[I[M[M[b3][M[Aq][Aq]]][Bq]]]], M[N[M[A[b3B][1]][I[M[b3B][Aq]]]]]
+        L0, L2 = A[N[I[b3]]], M[N[M[Aq][I[b2]]]]
+        for z in zs:
+            tr2, L1 = tr[N[M[two][I[M[M[b3][Aq]][z]]]]], M[N[M[Aq][z]]]
+            M3, M1 = M[N[I[M[M[a2A][Aq]][z]]]], M[N[I[M[a2A][z]]]]
+            for t, t2, t3, t4, ti, ti2 in tpow:
+                ka = A[A[M4[t4]][M3[t3]]][A[A[M2[t2]][M1[t]]][m1]]
+                kb = L0[A[L1[ti]][L2[ti2]]]
+                acc += klp[um[ka][kb]][(tr2[t2] + tr1[t] + trm[ti]) % p]
+        return unpack(acc)
+
+    # unit sums or root sums over the units, per root z
+    def f001(i, j, k):
+        (_, a1, b1), (_, a2, b2), (_, c3) = i, j, k
+        ia1, ia2, b2b1 = I[a1], I[a2], M[b2][I[b1]]
+        # q times the unit sum of aa = base + e/z and bb = z - 1/b2
+        base = A[m1][N[A[A[M[a1][ia2]][b2b1]][M[M[a2][b2b1]][ia1]]]]
+        e, nib2, hit = A[ia2][ia1], N[I[b2]], A[b2b1][m1]
+        acc = bias
+        for z in sqrt[M[b1][I[M[b2][c3]]]]:
+            iz = I[z]
+            acc += q * klp[um[A[base][M[e][iz]]][A[z][nib2]]][0]
+            if a1 == N[a2] and M[ia1][iz] == hit:
+                acc += q * q
+        return unpack(acc)
+    def f002(i, j, k):
+        (_, a1, b1), (_, a2, b2), (_, d3) = i, j, k
+        ia1, a2d3 = I[a1], M[a2][d3]
+        # q times the sum over units of phi(t1 t^2 + t2 t + t3/t + t4/t^2)
+        g, t3z, t3c = N[A[M[b2][I[M[a1][b1]]]][ia1]], M[a1][I[a2d3]], N[I[d3]]
+        t4 = N[M[a1][I[M[a2d3][b2]]]]
+        acc = bias
+        for z in sqrt[M[b1][I[b2]]]:
+            az = M[ia1][I[z]]
+            t1, t2 = M[a2d3][A[M[two][az]][g]], M[d3][A[az][N[ia1]]]
+            acc += q * pack(cyclo.root_sum(F, q - 1, 1, t2, A[M[t3z][z]][t3c], t1, t4))
+        if b1 == b2:
+            acc += chi[N[M[a2d3][ia1]]] * q * sqp[tr[d3][I[M[four][M[a1][a2]]]]]
+        return unpack(acc)
+    def f010(i, j, k):
+        (_, a1, b1), (_, c2), (_, a3, b3) = i, j, k
+        ia1, c2b1, a3c2 = I[a1], M[c2][I[b1]], M[a3][c2]
+        # the unit sum of aa = ea z + fa and bb = eb z + fb
+        ea, fa = N[A[b3][M[M[a3][b3]][ia1]]], N[A[c2b1][M[M[a3][c2b1]][ia1]]]
+        eb, fb = N[M[b1][I[a3c2]]], N[A[M[M[a1][b1]][I[M[a3c2][b3]]]][I[c2]]]
+        acc = bias
+        for z in sqrt[M[c2b1][I[b3]]]:
+            acc += klp[um[A[M[ea][z]][fa]][A[M[eb][z]][fb]]][0]
+        if a1 == N[a3]:
+            for z in sqrt[M[b1][I[M[b3][c2]]]]:
+                if I[z] == N[c2b1]:
+                    acc += q
+        return unpack(acc)
+    def f020(i, j, k):
+        (_, a1, b1), (_, d2), (_, a3, b3) = i, j, k
+        ia1, a3d2, ia1b3 = I[a1], M[a3][d2], I[M[a1][b3]]
+        # the sum over units of phi(t1 t^2 + t2 t + t3/t + t4/t^2)
+        g, a3a1, t3, t4 = A[ia1b3][I[M[a1][b1]]], M[a3][ia1], N[I[a3]], M[a1][I[a3d2]]
+        acc = bias
+        for z in sqrt[M[b1][I[b3]]]:
+            iz = I[z]
+            t1, t2 = M[a3d2][A[M[M[two][ia1b3]][iz]][g]], A[m1][N[A[A[z][M[a3a1][iz]]][a3a1]]]
+            acc += pack(cyclo.root_sum(F, q - 1, 1, t2, t3, t1, t4))
+        if b1 == b3:
+            dd = A[1][N[a3a1]]
+            arg = N[M[M[M[a1][b3]][I[M[four][a3d2]]]][M[dd][dd]]]
+            acc += chi[M[a3d2][ia1b3]] * sqp[T[arg]]
+        return unpack(acc)
+
+    # root sums over square roots, rotated by the trace of a phi factor
+    def f011(i, j, k):
+        (_, a1, b1), (_, c2), (_, c3) = i, j, k
+        rs = cyclo.root_sum(F, 2, M[M[b1][c2]][c3], 0, A[M[a1][b1]][A[c2][c3]])
+        return [q * n for n in rs]
+    def f012(i, j, k):
+        (_, a1, b1), (_, c2), (_, d3) = i, j, k
+        s = T[N[A[M[a1][I[d3]]][M[d3][I[M[a1][b1]]]]]]
+        return [q * n for n in _rot(cyclo.root_sum(F, 2, M[b1][I[c2]], 1, I[a1]), s)]
+    def f021(i, j, k):
+        (_, a1, b1), (_, d2), (_, c3) = i, j, k
+        s = T[A[M[a1][I[d2]]][M[d2][I[M[a1][b1]]]]]
+        return [q * n for n in _rot(cyclo.root_sum(F, 2, M[b1][I[c3]], 1, I[a1]), s)]
+    def f110(i, j, k):
+        (_, c1), (_, c2), (_, a3, b3) = i, j, k
+        return cyclo.root_sum(F, 2, M[c1][I[M[b3][c2]]], 1, A[M[a3][I[c2]]][I[b3]])
+    def f120(i, j, k):
+        (_, c1), (_, d2), (_, a3, b3) = i, j, k
+        s = T[A[M[a3][I[d2]]][M[d2][I[M[b3][a3]]]]]
+        return _rot(cyclo.root_sum(F, 2, M[b3][I[c1]], 1, I[a3]), s)
+    def f221(i, j, k):
+        (_, d1), (_, d2), (_, c3) = i, j, k
+        return [q * n for n in cyclo.root_sum(F, 2, I[c3], 0, I[d2])] if d1 == d2 else zero
+
+    # multiples of phi(x), one per root pair
+    def f022(i, j, k):
+        (_, a1, b1), (_, d2), (_, d3) = i, j, k
+        x, counts = N[M[a1][I[M[d2][d3]]]], [0] * p  # x = -a1/(d2 d3)
+        for z1 in sqrt[x]:
+            iz1 = I[z1]
+            u = A[N[M[I[d3]][iz1]]][M[I[d2]][iz1]]
+            for z3 in sqrt[M[x][b1]]:
+                counts[T[A[A[z3][u]][M[two][M[z1][I[z3]]]]]] += q
+        return counts
+    def f220(i, j, k):
+        (_, d1), (_, d2), (_, a3, b3) = i, j, k
+        x, counts = M[d1][I[M[a3][d2]]], [0] * p  # x = d1/(a3 d2)
+        for z1 in sqrt[x]:
+            u = N[A[z1][I[M[a3][z1]]]]
+            for z3 in sqrt[M[x][I[b3]]]:
+                iz3 = I[z3]
+                counts[T[A[A[u][N[M[I[d2]][iz3]]]][M[two][M[z1][M[I[b3]][iz3]]]]]] += 1
+        return counts
+    def f122(i, j, k):
+        (_, c1), (_, d2), (_, d3) = i, j, k
+        counts = [0] * p
+        for z in sqrt[c1] if d2 == N[d3] else ():
+            counts[tr[z][I[d3]]] += q
+        return counts
+    def f112(i, j, k):
+        (_, c1), (_, c2), (_, d3) = i, j, k
+        return q_at[T[N[M[d3][I[c2]]]]] if c1 == c2 else zero
+    def f121(i, j, k):
+        (_, c1), (_, d2), (_, c3) = i, j, k
+        return q_at[tr[d2][I[c3]]] if c1 == c3 else zero
+
+    # the square counts times chi(d1 d2 d3)
+    squares = (sq, tuple(-n for n in sq))
+    def f222(i, j, k):
+        (_, d1), (_, d2), (_, d3) = i, j, k
+        return squares[chi[M[M[d1][d2]][d3]] < 0]
+
+    # k = e3: q^l(w) where e_j inverts e_i
+    def f003(i, j, k):
+        return q4 if i == j else zero
+    def f113(i, j, k):
+        return q3 if i == j else zero
+    def f223(i, j, k):
+        return q3 if i[1] == N[j[1]] else zero
+
+    return locals()

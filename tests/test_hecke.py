@@ -324,6 +324,13 @@ def test_table_formula_validates_params():
         for args in ((bad, u, u), (e, bad, e), (e, e, bad)):
             with pytest.raises(ValueError):
                 H.table_formula(*args)
+    # so is a kind with no closed form, handed to the forms directly
+    from gghecke.formulas import ClosedForms
+
+    value = ClosedForms("A2", H.F, H._tr).value
+    for args in (((4, 1), e, e), (e, (4, 1), e), (e, e, (4, 1))):
+        with pytest.raises(ValueError, match="no closed form"):
+            value(*args)
 
 
 @pytest.mark.parametrize("tag,pf", [("A2", (2, 2)), ("B2", (5,))], ids=["A2-4", "B2-5"])

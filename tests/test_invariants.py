@@ -19,6 +19,7 @@ where n_i^-1 = v n_{i*} v' with v, v' in U and s_i = psi(v) psi(v').  As
 q^l(k) S_ij^k = s_i q^l(j) conj(S_{i* k}^j) (Bannai-Ito, Algebraic
 Combinatorics I, ch. II), which links different kind patterns.
 """
+import math
 import random
 from functools import lru_cache
 from itertools import combinations, product
@@ -218,6 +219,27 @@ def test_multiply_satisfies_trace_form_duality(tag, pf):
             assert vec.get(k, p).scale(q ** H.length(k)) == want, (i, j, k)
 
 
+def _row_support(H, rng, by_kind, kinds, want: int = 5) -> list:
+    """Up to `want` triples (i, j, k) of the given kinds with S_ij^k != 0 on the
+    closed forms, k drawn from the support of one seeded row (i, j): the row's
+    k of that kind are scanned from a seeded start with a seeded stride prime to
+    their number, so a dense row costs a few forms and a sparse one the row."""
+    i, j = rng.choice(by_kind[kinds[0]]), rng.choice(by_kind[kinds[1]])
+    ks = by_kind[kinds[2]]
+    n = len(ks)
+    start, step = rng.randrange(n), rng.randrange(1, n + 1)
+    while math.gcd(step, n) != 1:
+        step -= 1
+    found = []
+    for t in range(n):
+        k = ks[(start + t * step) % n]
+        if any(H.table_formula(i, j, k)):
+            found.append((i, j, k))
+            if len(found) == want:
+                break
+    return found
+
+
 @pytest.mark.parametrize(
     "tag,pf",
     [
@@ -246,15 +268,20 @@ def test_multiply_satisfies_trace_form_duality(tag, pf):
          "A2-127", "A2-128", "A2-243", "A2-512", "B2-81", "B2-125", "B2-127", "B2-243"],
 )
 def test_closed_forms_satisfy_trace_form_duality(tag, pf):
-    # the duality above on table_formula alone, 30 seeded triples per kind
-    # pattern; i* and s_i are found for the sampled i only.  The algebra is
-    # not the shared cached one, so a large field's basis is freed after
+    # the duality above on table_formula alone: 30 uniform seeded triples per
+    # kind pattern, and up to 5 more from the support of one seeded row per
+    # pattern, which the uniform draws mostly miss; i* and s_i are found for
+    # the sampled i only.  The algebra is not the shared cached one, so a
+    # large field's basis is freed after
     H = HeckeAlgebra(tag, make_field(*pf))
     p, q = H.F.p, H.F.q
     rng = random.Random(q)
     by_kind = [[b for b in H.basis if b.kind == kind] for kind in range(4)]
     triples = [tuple(rng.choice(by_kind[kind]) for kind in kinds)
                for kinds in product(range(4), repeat=3) for _ in range(30)]
+    rows = random.Random(f"rows-{q}")
+    triples += [t for kinds in product(range(4), repeat=3)
+                for t in _row_support(H, rows, by_kind, kinds)]
     reverse = _reverse(H, {i for i, _, _ in triples})
     bad = []
     for i, j, k in triples:

@@ -1,0 +1,100 @@
+"""A standing mutant census of the closed forms (run with -m slow).
+
+Each mutant is a patch of gghecke.formulas at a stable seam: the per-pattern
+dispatch of ClosedForms, or one exact snippet of its source, which must occur
+there once.  The patch is a pytest plugin, so the mutant's test ids run in a
+fresh pytest process (the algebras and the field tables are cached per
+process), and every one of them must fail; unmutated, the same ids pass.  A
+change that moves a seam updates the census with it.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMULAS = ROOT / "src" / "gghecke" / "formulas.py"
+
+# the form of kinds (0, 0, 0) negated, through the dispatch table
+_NEGATE = """
+from gghecke import formulas
+_init = formulas.ClosedForms.__init__
+def __init__(self, tag, F, tr):
+    _init(self, tag, F, tr)
+    if tag == {tag!r}:
+        form = self._forms[0, 0, 0]
+        self._forms[0, 0, 0] = lambda i, j, k: [-n for n in form(i, j, k)]
+formulas.ClosedForms.__init__ = __init__
+"""
+
+# the module executed from its source with one snippet replaced
+_REPLACE = """
+import sys, types
+import gghecke
+path = {path!r}
+with open(path, encoding="utf-8") as fh:
+    text = fh.read().replace({old!r}, {new!r})
+mod = types.ModuleType("gghecke.formulas")
+mod.__file__, mod.__package__ = path, "gghecke"
+exec(compile(text, path, "exec"), mod.__dict__)
+sys.modules["gghecke.formulas"] = gghecke.formulas = mod
+"""
+
+
+def _digests(*names):
+    return [f"tests/test_formula_digests.py::test_closed_forms_match_recorded_digests[{n}]"
+            for n in names]
+
+
+def _replace(old, new):
+    return _REPLACE.format(path=str(FORMULAS), old=old, new=new), old
+
+
+ASSOCIATE = "tests/test_invariants.py::test_closed_forms_associate"
+# name -> (plugin source, source snippet it replaces or None, ids that must fail)
+MUTANTS = {
+    "A2 (0,0,0) negated": (_NEGATE.format(tag="A2"), None,
+                           _digests("A2-4", "A2-7", "A2-25") + [f"{ASSOCIATE}[A2]"]),
+    "B2 (0,0,0) negated": (_NEGATE.format(tag="B2"), None,
+                           _digests("B2-5", "B2-9", "B2-25") + [f"{ASSOCIATE}[B2]"]),
+    "B2 (0,0,0) branch three rotated by one": (*_replace(
+        "acc += klp[um[ka][kb]][(tr2[t2] + tr1[t] + trm[ti]) % p]",
+        "acc += klp[um[ka][kb]][(tr2[t2] + tr1[t] + trm[ti] + 1) % p]"),
+        _digests("B2-5", "B2-25")),
+    "B2 (0,1,0) inv(c2) -> F.of(2)": (*_replace(
+        "N[A[M[M[a1][b1]][I[M[a3c2][b3]]]][I[c2]]]",
+        "N[A[M[M[a1][b1]][I[M[a3c2][b3]]]][two]]"),
+        _digests("B2-5", "B2-25")),
+}
+
+
+def _pytest(ids, plugin_dir=None):
+    """Run the ids in a fresh pytest process, with the plugin `mutant` in
+    plugin_dir when given; the ids reported as failed, and the output."""
+    paths = [str(ROOT / "src")] + ([str(plugin_dir)] if plugin_dir else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    plugin = ["-p", "mutant"] if plugin_dir else []
+    cmd = [sys.executable, "-m", "pytest", *plugin, "-q", "-rf", "-p", "no:cacheprovider", *ids]
+    out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAILED ")}
+    return failed, out.stdout[-3000:] + out.stderr[-3000:]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_fails_its_tests(name, tmp_path):
+    plugin, seam, ids = MUTANTS[name]
+    if seam is not None:
+        assert FORMULAS.read_text(encoding="utf-8").count(seam) == 1, f"seam moved: {seam}"
+    (tmp_path / "mutant.py").write_text(plugin, encoding="utf-8")
+    failed, report = _pytest(ids, tmp_path)
+    assert failed == set(ids), report
+
+
+@pytest.mark.slow
+def test_census_tests_pass_unmutated():
+    ids = sorted({i for _, _, ids in MUTANTS.values() for i in ids})
+    failed, report = _pytest(ids)
+    assert not failed and "passed" in report and "error" not in report, report
