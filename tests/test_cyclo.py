@@ -137,7 +137,7 @@ def test_from_zeta_counts_matches_checked_path(p, data):
     # from_zeta_counts skips the int check; its coefficients must still be the ints
     # that the checked constructor gives for the same sum of zeta powers.  Every
     # route ends in it with exactly p counts: the sweeps with lists, the closed
-    # forms once they fold their 2p - 1, the count tables with tuples
+    # forms with lists or prebuilt tuples, the count tables with tuples
     counts = data.draw(st.lists(st.integers(-30, 30), min_size=p, max_size=p))
     if data.draw(st.booleans()):
         counts = tuple(counts)
