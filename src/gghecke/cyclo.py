@@ -160,18 +160,28 @@ def phi(field: gf.Field, x: int) -> CycloNum:
     return CycloNum.zeta_pow(field.p, field.trace(x))
 
 
-def _trace_counts(field: gf.Field, xs) -> tuple:
-    """Entry r is the number of x in xs with Tr(x) = r."""
+def root_sum(field: gf.Field, roots, a: int, b: int, a2: int = 0, b2: int = 0) -> list:
+    """Count vector of the sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over the
+    units z in roots: entry r is the number of them whose argument has trace r.
+
+    The caller holds the roots (rth_roots of a unit, a root-table row, or
+    F.units()); each is evaluated from the field's tables alone.
+    """
+    A, M, I, T = field._add, field._mul, field._inv, field._trace
+    ma, mb, ma2, mb2 = M[a], M[b], M[a2], M[b2]
     counts = [0] * field.p
-    for x in xs:
-        counts[field.trace(x)] += 1
-    return tuple(counts)
+    for z in roots:
+        iz = I[z]
+        counts[T[A[A[ma[z]][mb[iz]]][A[ma2[M[z][z]]][mb2[M[iz][iz]]]]]] += 1
+    return counts
 
 
 @lru_cache(maxsize=None)
 def square_counts(field: gf.Field) -> tuple:
     """Entry r is #{x in F_q : Tr(x^2) = r}, so G = sum_r entry_r zeta^r."""
-    return _trace_counts(field, (field.mul(x, x) for x in field.elements()))
+    counts = root_sum(field, field.units(), 0, 0, a2=1)
+    counts[0] += 1  # x = 0
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)
@@ -182,9 +192,8 @@ def kloosterman_counts(field: gf.Field) -> tuple:
     For units a, b, w -> w/a turns the sum over w of phi(a w + b/w) into row
     ab; when exactly one of a, b is 0 that sum is row 0.
     """
-    F = field
-    return tuple(_trace_counts(F, (F.add(w, F.div(c, w)) for w in F.units()))
-                 for c in F.elements())
+    units = field.units()
+    return tuple(tuple(root_sum(field, units, 1, c)) for c in field.elements())
 
 
 @lru_cache(maxsize=None)
@@ -219,27 +228,6 @@ def quad_char_sum(field: gf.Field, A: int, B: int, C: int) -> CycloNum:
     return (gauss_sum(field) * phi(field, shift)).scale(sign)
 
 
-def root_sum(
-    field: gf.Field, ell: int, target: int, a: int, b: int, a2: int = 0, b2: int = 0
-) -> list:
-    """Count vector of the sum of phi(a2*z^2 + a*z + b/z + b2/z^2) over z with
-    z^ell = target: entry r is the number of roots whose argument has trace r.
-
-    An empty root set gives all zeros.
-    """
-    F = field
-    counts = [0] * F.p
-    for z in F.rth_roots(target, ell):
-        zi = F.inv(z)
-        arg = F.add(F.mul(a, z), F.mul(b, zi))
-        if a2:
-            arg = F.add(arg, F.mul(a2, F.mul(z, z)))
-        if b2:
-            arg = F.add(arg, F.mul(b2, F.mul(zi, zi)))
-        counts[F.trace(arg)] += 1
-    return counts
-
-
 def kloosterman(
     field: gf.Field, l: int, B: int, a: int, b: int, ap: int = 0, bp: int = 0
 ) -> CycloNum:
@@ -255,7 +243,8 @@ def kloosterman(
         raise ValueError(f"B, a, b, ap, bp must be codes 0..{field.q - 1} of F_{field.q}")
     if B == 0:
         raise ValueError("B must be a unit")
-    return CycloNum.from_zeta_counts(field.p, root_sum(field, l, B, a, b, ap, bp))
+    roots = field.rth_roots(B, l)
+    return CycloNum.from_zeta_counts(field.p, root_sum(field, roots, a, b, ap, bp))
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ Each kind pattern's form is its own function, built once per field by its
 type's factory: it indexes the field's rows F._add, F._mul, F._neg, F._inv and
 the trace rows, and returns the p counts of its value over zeta exponents
 0..p-1.  A multiple of phi(x) adds at Tr(x), a Gauss-sum term the square counts,
-a root sum the counts of cyclo.root_sum, a sum of phi(a w + b/w) over units w
-one Kloosterman row, each rotated by the trace of any phi factor, mod p; rows
-summed many times are read pre-rotated from per-field tables.  cyclo.root_sum is
-looked up per call, so the perfbench tracer's wrapper counts only while installed."""
+a root sum the counts of cyclo.root_sum over a row of the field's square- or
+cube-root table (or over every unit), a sum of phi(a w + b/w) over units w one
+Kloosterman row, each rotated by the trace of any phi factor, mod p; rows summed
+many times are read pre-rotated from per-field tables.  cyclo.root_sum is looked
+up per call, so the perfbench tracer's wrapper counts only while installed."""
 
 from . import cyclo, gf
 from .cyclo import CycloNum, kloosterman_counts, square_counts
@@ -96,23 +97,23 @@ def _a2_forms(F: gf.Field, tr: list) -> dict:
         a2b2 = M[a2][b2]
         target = M[M[M[a1][a1]][b1]][I[M[M[a2b2][b2]][c3]]]
         aa, bb = A[m1][N[A[M[b2][I[a1]]][M[a2b2][I[M[a1][b1]]]]]], N[A[I[b2]][M[a1][I[a2b2]]]]
-        return [q * n for n in cyclo.root_sum(F, 3, target, aa, bb)]
+        return [q * n for n in cyclo.root_sum(F, cbrt[target], aa, bb)]
     def f002(i, j, k):
         (_, a1, b1), (_, a2, b2), (_, d3) = i, j, k
         a2b2 = M[a2][b2]
         target = M[M[a1][M[b1][b1]]][I[M[M[a2b2][a2]][d3]]]
         aa, bb = A[m1][N[A[M[a2][I[b1]]][M[a2b2][I[M[a1][b1]]]]]], N[A[I[a2]][M[b1][I[a2b2]]]]
-        return [q * n for n in cyclo.root_sum(F, 3, target, aa, bb)]
+        return [q * n for n in cyclo.root_sum(F, cbrt[target], aa, bb)]
     def f010(i, j, k):
         (_, a1, b1), (_, c2), (_, a3, b3) = i, j, k
         a3b3 = M[a3][b3]
         target, bb = M[M[b1][c2]][I[M[M[a1][a3]][a3b3]]], A[A[I[a1]][I[a3]]][M[b1][I[a3b3]]]
-        return cyclo.root_sum(F, 3, target, A[1][M[a3][I[b1]]], bb)
+        return cyclo.root_sum(F, cbrt[target], A[1][M[a3][I[b1]]], bb)
     def f020(i, j, k):
         (_, a1, b1), (_, d2), (_, a3, b3) = i, j, k
         a3b3 = M[a3][b3]
         target, bb = M[M[a1][d2]][I[M[M[b1][b3]][a3b3]]], A[A[I[b1]][I[b3]]][M[a1][I[a3b3]]]
-        return cyclo.root_sum(F, 3, target, A[1][M[b3][I[a1]]], bb)
+        return cyclo.root_sum(F, cbrt[target], A[1][M[b3][I[a1]]], bb)
 
     # one multiple of phi(x) on a condition
     def f011(i, j, k):
@@ -157,7 +158,7 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
     p, q = F.p, F.q
     A, M, N, I, T = F._add, F._mul, F._neg, F._inv, F._trace
     m1, two, four, zero = N[1], F.of(2), F.of(4), (0,) * p
-    sqrt, (um, kl), sq = _roots(F, 2), _unit_sums(F), square_counts(F)
+    sqrt, units, (um, kl), sq = _roots(F, 2), F.units(), _unit_sums(F), square_counts(F)
     q3, q4 = (q**3,) + zero[1:], (q**4,) + zero[1:]
     q_at = [_rot((q,) + zero[1:], s) for s in range(p)]
     chi = [1 if F.is_square(x) else -1 for x in F.elements()]  # 1 at 0, as printed
@@ -246,7 +247,7 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
         for z in sqrt[M[b1][I[b2]]]:
             az = M[ia1][I[z]]
             t1, t2 = M[a2d3][A[M[two][az]][g]], M[d3][A[az][N[ia1]]]
-            acc += q * pack(cyclo.root_sum(F, q - 1, 1, t2, A[M[t3z][z]][t3c], t1, t4))
+            acc += q * pack(cyclo.root_sum(F, units, t2, A[M[t3z][z]][t3c], t1, t4))
         if b1 == b2:
             acc += chi[N[M[a2d3][ia1]]] * q * sqp[tr[d3][I[M[four][M[a1][a2]]]]]
         return unpack(acc)
@@ -259,10 +260,8 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
         acc = bias
         for z in sqrt[M[c2b1][I[b3]]]:
             acc += klp[um[A[M[ea][z]][fa]][A[M[eb][z]][fb]]][0]
-        if a1 == N[a3]:
-            for z in sqrt[M[b1][I[M[b3][c2]]]]:
-                if I[z] == N[c2b1]:
-                    acc += q
+        if a1 == N[a3] and M[b1][b3] == c2:  # -b1/c2 is a square root of b1/(b3 c2)
+            acc += q
         return unpack(acc)
     def f020(i, j, k):
         (_, a1, b1), (_, d2), (_, a3, b3) = i, j, k
@@ -273,7 +272,7 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
         for z in sqrt[M[b1][I[b3]]]:
             iz = I[z]
             t1, t2 = M[a3d2][A[M[M[two][ia1b3]][iz]][g]], A[m1][N[A[A[z][M[a3a1][iz]]][a3a1]]]
-            acc += pack(cyclo.root_sum(F, q - 1, 1, t2, t3, t1, t4))
+            acc += pack(cyclo.root_sum(F, units, t2, t3, t1, t4))
         if b1 == b3:
             dd = A[1][N[a3a1]]
             arg = N[M[M[M[a1][b3]][I[M[four][a3d2]]]][M[dd][dd]]]
@@ -283,26 +282,29 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
     # root sums over square roots, rotated by the trace of a phi factor
     def f011(i, j, k):
         (_, a1, b1), (_, c2), (_, c3) = i, j, k
-        rs = cyclo.root_sum(F, 2, M[M[b1][c2]][c3], 0, A[M[a1][b1]][A[c2][c3]])
+        rs = cyclo.root_sum(F, sqrt[M[M[b1][c2]][c3]], 0, A[M[a1][b1]][A[c2][c3]])
         return [q * n for n in rs]
     def f012(i, j, k):
         (_, a1, b1), (_, c2), (_, d3) = i, j, k
         s = T[N[A[M[a1][I[d3]]][M[d3][I[M[a1][b1]]]]]]
-        return [q * n for n in _rot(cyclo.root_sum(F, 2, M[b1][I[c2]], 1, I[a1]), s)]
+        return [q * n for n in _rot(cyclo.root_sum(F, sqrt[M[b1][I[c2]]], 1, I[a1]), s)]
     def f021(i, j, k):
         (_, a1, b1), (_, d2), (_, c3) = i, j, k
         s = T[A[M[a1][I[d2]]][M[d2][I[M[a1][b1]]]]]
-        return [q * n for n in _rot(cyclo.root_sum(F, 2, M[b1][I[c3]], 1, I[a1]), s)]
+        return [q * n for n in _rot(cyclo.root_sum(F, sqrt[M[b1][I[c3]]], 1, I[a1]), s)]
     def f110(i, j, k):
         (_, c1), (_, c2), (_, a3, b3) = i, j, k
-        return cyclo.root_sum(F, 2, M[c1][I[M[b3][c2]]], 1, A[M[a3][I[c2]]][I[b3]])
+        return cyclo.root_sum(F, sqrt[M[c1][I[M[b3][c2]]]], 1, A[M[a3][I[c2]]][I[b3]])
     def f120(i, j, k):
         (_, c1), (_, d2), (_, a3, b3) = i, j, k
         s = T[A[M[a3][I[d2]]][M[d2][I[M[b3][a3]]]]]
-        return _rot(cyclo.root_sum(F, 2, M[b3][I[c1]], 1, I[a3]), s)
+        return _rot(cyclo.root_sum(F, sqrt[M[b3][I[c1]]], 1, I[a3]), s)
     def f221(i, j, k):
         (_, d1), (_, d2), (_, c3) = i, j, k
-        return [q * n for n in cyclo.root_sum(F, 2, I[c3], 0, I[d2])] if d1 == d2 else zero
+        return [q * n for n in cyclo.root_sum(F, sqrt[I[c3]], 0, I[d2])] if d1 == d2 else zero
+    def f122(i, j, k):
+        (_, c1), (_, d2), (_, d3) = i, j, k
+        return [q * n for n in cyclo.root_sum(F, sqrt[c1], I[d3], 0)] if d2 == N[d3] else zero
 
     # multiples of phi(x), one per root pair
     def f022(i, j, k):
@@ -322,12 +324,6 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
             for z3 in sqrt[M[x][I[b3]]]:
                 iz3 = I[z3]
                 counts[T[A[A[u][N[M[I[d2]][iz3]]]][M[two][M[z1][M[I[b3]][iz3]]]]]] += 1
-        return counts
-    def f122(i, j, k):
-        (_, c1), (_, d2), (_, d3) = i, j, k
-        counts = [0] * p
-        for z in sqrt[c1] if d2 == N[d3] else ():
-            counts[tr[z][I[d3]]] += q
         return counts
     def f112(i, j, k):
         (_, c1), (_, c2), (_, d3) = i, j, k

@@ -183,8 +183,9 @@ def test_gauss_sum_is_cached_and_exact():
         assert gauss_sum(F) is gauss_sum(F)
 
 
-@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
-                         ids=["q3", "q5", "q7", "q9", "q25", "q27"])
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
+                                 (3, 3)],
+                         ids=["q2", "q4", "q8", "q3", "q5", "q7", "q9", "q25", "q27"])
 def test_count_tables_match_direct_counts(p, f):
     # the B2 closed form reads sum_w phi(o + ka w + kb/w) as the Kloosterman
     # row of ka kb rotated by Tr(o), or q - 1 at Tr(o) when ka = kb = 0; at
@@ -314,15 +315,20 @@ def test_kloosterman_edge_cases():
 
 
 def test_kloosterman_quartic_terms():
-    F = make_field(7)
-    for B in F.units():
-        for a, b, ap, bp in [(1, 2, 3, 4), (0, 0, 1, 1), (2, 0, 0, 5)]:
-            acc = CycloNum.zero(7)
-            for z in F.rth_roots(B, 3):
-                zi = F.inv(z)
-                arg = F.add(
-                    F.add(F.mul(ap, F.mul(z, z)), F.mul(a, z)),
-                    F.add(F.mul(b, zi), F.mul(bp, F.mul(zi, zi))),
-                )
-                acc = acc + phi(F, arg)
-            assert kloosterman(F, 3, B, a, b, ap, bp) == acc
+    # the roots found by powering every unit; l = q - 1 takes every unit at B = 1,
+    # the set the B2 closed forms sum over, and none at any other B
+    for (p, f), l in [((7, 1), 3), ((3, 2), 2), ((3, 3), 2), ((7, 1), 6), ((3, 2), 8)]:
+        F = make_field(p, f)
+        for B in F.units():
+            for a, b, ap, bp in [(1, 2, 3, 4), (0, 0, 1, 1), (2, 0, 0, 5)]:
+                acc = CycloNum.zero(p)
+                for z in F.units():
+                    if F.pow(z, l) != B:
+                        continue
+                    zi = F.inv(z)
+                    arg = F.add(
+                        F.add(F.mul(ap, F.mul(z, z)), F.mul(a, z)),
+                        F.add(F.mul(b, zi), F.mul(bp, F.mul(zi, zi))),
+                    )
+                    acc = acc + phi(F, arg)
+                assert kloosterman(F, l, B, a, b, ap, bp) == acc, (F.q, l, B, a, b, ap, bp)

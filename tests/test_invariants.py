@@ -292,17 +292,29 @@ def test_closed_forms_satisfy_trace_form_duality(tag, pf):
     assert not bad, (len(bad), bad[:5])
 
 
-@pytest.mark.parametrize("tag", ["A2", "B2"])
-def test_closed_forms_associate(tag):
+@pytest.mark.parametrize(
+    "tag,pf",
+    [
+        ("A2", (17,)),
+        ("B2", (17,)),
+        pytest.param("A2", (5, 2), marks=pytest.mark.slow),
+        pytest.param("B2", (5, 2), marks=pytest.mark.slow),
+        pytest.param("A2", (7, 2), marks=pytest.mark.slow),
+        pytest.param("B2", (7, 2), marks=pytest.mark.slow),
+        pytest.param("A2", (2, 6), marks=pytest.mark.slow),
+    ],
+    ids=["A2", "B2", "A2-25", "B2-25", "A2-49", "B2-49", "A2-64"],
+)
+def test_closed_forms_associate(tag, pf):
     # (e_i e_j) e_l = e_i (e_j e_l) at e_m on table_formula alone:
     # sum_k S_ij^k S_kl^m = sum_k S_jl^k S_ik^m, no product computed.  One seeded
     # (i, j, l) per kind pattern, and m in the support of some e_k e_l with
     # S_ij^k != 0, so the left side has a nonzero term (all 64 sums are nonzero
-    # with this seed).  A negated (0,0,0) closed form fails 12 patterns at A2
-    # and 13 at B2, where the trace-form duality above passes it
-    H = HeckeAlgebra(tag, make_field(17))
+    # with this seed at q = 17).  A negated (0,0,0) closed form fails 12 patterns
+    # at A2/F_17 and 13 at B2/F_17, where the trace-form duality above passes it
+    H = HeckeAlgebra(tag, make_field(*pf))
     f, zero = H.table_formula, CycloNum.zero(H.F.p)
-    rng = random.Random(17)
+    rng = random.Random(H.F.q)
     by_kind = [[b for b in H.basis if b.kind == kind] for kind in range(4)]
     bad = []
     for kinds in product(range(4), repeat=3):

@@ -1,8 +1,9 @@
 """A standing mutant census of the closed forms (run with -m slow).
 
-Each mutant is a patch of gghecke.formulas at a stable seam: the per-pattern
-dispatch of ClosedForms, or one exact snippet of its source, which must occur
-there once.  The patch is a pytest plugin, so the mutant's test ids run in a
+Each mutant is a patch at a stable seam: the per-pattern dispatch of
+gghecke.formulas.ClosedForms, one exact snippet of the formulas source, which
+must occur there once, or cyclo.root_sum, which every character-sum count goes
+through.  The patch is a pytest plugin, so the mutant's test ids run in a
 fresh pytest process (the algebras and the field tables are cached per
 process), and every one of them must fail; unmutated, the same ids pass.  A
 change that moves a seam updates the census with it.
@@ -29,6 +30,16 @@ def __init__(self, tag, F, tr):
 formulas.ClosedForms.__init__ = __init__
 """
 
+# cyclo.root_sum without its b/z term, for every caller: the closed forms look
+# it up per call, and the count tables are built through it
+_ROOT_SUM_NO_B = """
+from gghecke import cyclo
+_root_sum = cyclo.root_sum
+def root_sum(field, roots, a, b, a2=0, b2=0):
+    return _root_sum(field, roots, a, 0, a2, b2)
+cyclo.root_sum = root_sum
+"""
+
 # the module executed from its source with one snippet replaced
 _REPLACE = """
 import sys, types
@@ -53,6 +64,7 @@ def _replace(old, new):
 
 
 ASSOCIATE = "tests/test_invariants.py::test_closed_forms_associate"
+COUNTS = "tests/test_cyclo.py::test_count_tables_match_direct_counts"
 # name -> (plugin source, source snippet it replaces or None, ids that must fail)
 MUTANTS = {
     "A2 (0,0,0) negated": (_NEGATE.format(tag="A2"), None,
@@ -67,6 +79,12 @@ MUTANTS = {
         "N[A[M[M[a1][b1]][I[M[a3c2][b3]]]][I[c2]]]",
         "N[A[M[M[a1][b1]][I[M[a3c2][b3]]]][two]]"),
         _digests("B2-5", "B2-25")),
+    "B2 (0,1,0) b1 b3 = c2 -> b1 b3 = -c2": (*_replace(
+        "M[b1][b3] == c2", "M[b1][b3] == N[c2]"),
+        _digests("B2-5", "B2-25")),
+    "root_sum without b/z": (_ROOT_SUM_NO_B, None,
+                             _digests("A2-4", "B2-5", "B2-25")
+                             + [f"{COUNTS}[q5]", f"{COUNTS}[q8]"]),
 }
 
 
