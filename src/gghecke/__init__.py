@@ -3,7 +3,7 @@ Chevalley groups of types A2 and B2 over small finite fields."""
 
 from .gf import Field, make_field, field_from_dict
 from .cyclo import CycloNum, phi, gauss_sum, quad_char_sum, kloosterman
-from .rootsys import Cmp, RootSystem, WeylElem, WeylGroup, root_system, weyl_group
+from .rootsys import RootSystem, WeylElem, WeylGroup, root_system, weyl_group
 from .chevalley import Group, GroupElem, chevalley_group
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "gauss_sum",
     "quad_char_sum",
     "kloosterman",
-    "Cmp",
     "RootSystem",
     "WeylElem",
     "WeylGroup",

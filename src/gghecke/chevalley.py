@@ -32,7 +32,12 @@ alpha1 + alpha2.  So a table over w gives u = u_out u_in in closed form
 (`_split`).  Absorbing n_i splits off the alpha_i factor by the law itself:
 u' = v u_i(c_i) with v = u' u_i(-c_i).  The torus scales root coordinates
 by chi(alpha1)^c1 chi(alpha2)^c2 for beta = c1 alpha1 + c2 alpha2, and n_i
-conjugates n_i u_beta(c) n_i^{-1} = u_{s_i beta}(eta_i(beta) c).
+conjugates n_i u_beta(c) n_i^{-1} = u_{s_i beta}(eta_i(beta) c).  The group
+tabulates both per Weyl element at construction: for each w, the conjugation
+k -> (w k, sign) through n_w of the positive roots that w keeps positive (each
+checked there to stay in U) and the roots w^{-1} alpha_j at which the torus pull
+t n_w s = (t w(s)) n_w reads chi; for each (w, i), w s_i and whether it is
+shorter.  So absorbing an atom reads tables and never multiplies in W.
 The 28 signs eta (12 for A2, 16 for B2) are the engine's only free data and
 are kept as the literal table `_ETA`.  tests/test_chevalley.py pins every
 entry: it builds the adjoint Lie algebra from the structure constants that the
@@ -74,9 +79,6 @@ class GroupElem(Record, compare=("u", "t", "w", "u2")):
         if t[0] == 0 or t[1] == 0:
             raise ValueError("torus coordinates must be units")
         super().__init__(group, tuple(u), tuple(t), w, tuple(u2))
-
-    def key(self):
-        return (self.u, self.t, self.w.perm, self.u2)
 
     def __repr__(self):
         return (
@@ -120,18 +122,29 @@ class Group:
             i: {idx: self.rs.reflect(i, idx) for idx in range(1, 2 * self.N + 1)}
             for i in (1, 2)
         }
-        self._inv_sets = {
-            w: frozenset(self.W.inversions(w)) for w in self.W.elements
-        }
-        # per w: inversion-set mask, whether u1 moves right past u2 only (2),
-        # past u2 and u3 (3), or stays first (0) in u = u_out * u_in, and
-        # whether w inverts no positive root (1) or all of them (2)
-        self._splits = {}
+        self._inv_sets = {w: frozenset(self.W.inversions(w)) for w in self.W.elements}
+        # per w, the split: inversion-set mask, whether u1 moves right past u2
+        # only (2), past u2 and u3 (3), or stays first (0) in u = u_out * u_in,
+        # and whether w inverts no positive root (1) or all of them (2); and the
+        # conjugation: w^-1 alpha_1, w^-1 alpha_2, at which the torus pull reads
+        # chi, and per positive root k the pair (w k, sign) with
+        # n_w u_k(c) n_w^-1 = u_{w k}(sign c), through the word's letters
+        self._splits, self._conj = {}, {}
         self._zeros = (0,) * self.N
         for w, inv in self._inv_sets.items():
             move = 0 if 1 not in inv or 2 in inv else (2 if 3 in inv else 3)
             whole = 1 if not inv else (2 if len(inv) == self.N else 0)
             self._splits[w] = (tuple(k in inv for k in range(1, self.N + 1)), move, whole)
+            row = []
+            for k in range(1, self.N + 1):
+                idx, sign = k, 1
+                for i in reversed(w.word):
+                    idx, sign = self._refl[i][idx], F.mul(self._eta[i, idx], sign)
+                if k not in inv and idx > self.N:
+                    raise AssertionError("conjugated complement left U")
+                row.append((idx, sign))
+            winv = self.W.inv(w)
+            self._conj[w] = ((self.W.act(winv, 1), self.W.act(winv, 2)), row)
         # for each non-simple positive root, a simple reflection lowering it
         self._desc = {}
         for g in range(3, self.N + 1):
@@ -139,6 +152,9 @@ class Group:
                 if self.rs.pairing(self.rs.root(g), i) > 0:
                     self._desc[g] = i
                     break
+        # per (w, i): w s_i, and whether it is shorter than w
+        self._step = {(w, i): (self.W.mult(w, self.W.simple(i)), self.W.act(w, i) > self.N)
+                      for w in self.W.elements for i in (1, 2)}
         self._id = GroupElem(self, (0,) * self.N, (1, 1), self.W.identity, (0,) * self.N)
         self._lifts = {
             w: self.normal_form([("n", i, 1) for i in w.word]) for w in self.W.elements
@@ -193,16 +209,6 @@ class Group:
             [x if m else 0 for x, m in zip(u, mask)],
         )
 
-    def _conj_n_fwd(self, i, items):
-        """n_i * x * n_i^{-1} per atom."""
-        F, eta, refl = self.F, self._eta, self._refl[i]
-        return [(refl[idx], F.mul(eta[(i, idx)], c)) for idx, c in items]
-
-    def _conj_n_back(self, i, items):
-        """n_i^{-1} * x * n_i per atom."""
-        F, eta, refl = self.F, self._eta, self._refl[i]
-        return [(refl[idx], F.mul(eta[(i, refl[idx])], c)) for idx, c in items]
-
     # -- absorption into normal form ------------------------------------------------
 
     def _absorb(self, st, atom):
@@ -227,16 +233,12 @@ class Group:
         u2 = list(u2)
         self._times(u2, idx, c)
         out, inn = self._split(w, u2)
-        a = [(k + 1, x) for k, x in enumerate(out) if x]
-        if a:
-            for letter in reversed(w.word):
-                a = self._conj_n_fwd(letter, a)
-            F = self.F
-            u = list(u)
-            for k, v in a:
-                if k > self.N:
-                    raise AssertionError("conjugated complement left U")
-                self._times(u, k, F.mul(self.chi_at(t, k), v))
+        if any(out):
+            # u t n_w out = u (t n_w out n_w^-1 t^-1) t n_w, one root element per atom
+            F, row, u = self.F, self._conj[w][1], list(u)
+            for (k, sign), x in zip(row, out):
+                if x:
+                    self._times(u, k, F.mul(self.chi_at(t, k), F.mul(sign, x)))
             st[0] = u
         st[3] = inn
 
@@ -258,16 +260,16 @@ class Group:
         self._absorb_u_neg(st, delta + self.N, F.mul(eta, c))
         self._absorb_n(st, i, 1)
 
+    def _pull(self, t, w, s):
+        """The torus part t w(s) of t n_w s = (t w(s)) n_w, chi_{w(s)} = chi_s o w^-1."""
+        F, (r1, r2) = self.F, self._conj[w][0]
+        return [F.mul(t[0], self.chi_at(s, r1)), F.mul(t[1], self.chi_at(s, r2))]
+
     def _absorb_torus(self, st, chi1, chi2):
         u, t, w, u2 = st
-        F = self.F
-        tp = (chi1, chi2)
-        winv = self.W.inv(w)
-        st[1] = [
-            F.mul(t[0], self.chi_at(tp, self.W.act(winv, 1))),
-            F.mul(t[1], self.chi_at(tp, self.W.act(winv, 2))),
-        ]
-        st[3] = [F.mul(F.inv(self.chi_at(tp, i + 1)), c) if c else 0 for i, c in enumerate(u2)]
+        F, s = self.F, (chi1, chi2)
+        st[1] = self._pull(t, w, s)
+        st[3] = [F.mul(F.inv(self.chi_at(s, i + 1)), c) if c else 0 for i, c in enumerate(u2)]
 
     def _absorb_n(self, st, i, c):
         F = self.F
@@ -282,24 +284,17 @@ class Group:
         ci = v[i - 1]
         if ci:
             self._times(v, i, F.neg(ci))
-        wnew = self.W.mult(w, self.W.simple(i))
-        decreasing = self.W.act(w, i) > self.N
+        wnew, decreasing = self._step[w, i]
         if ci and not decreasing:
             raise AssertionError("alpha_i coordinate in u' outside inversion set")
         if ci == 0:
-            st[2] = wnew
-            st[3] = [0] * self.N
-            for k, x in self._conj_n_back(i, [(k + 1, x) for k, x in enumerate(v) if x]):
-                self._times(st[3], k, x)
+            st[2], st[3], refl = wnew, [0] * self.N, self._refl[i]
+            for k, x in enumerate(v, 1):
+                if x:  # n_i^-1 u_k(x) n_i = u_{s_i k}(eta x)
+                    self._times(st[3], refl[k], F.mul(self._eta[i, refl[k]], x))
             if decreasing:
                 # n_w = n_{wnew} n_i, and the leftover n_i^2 = h_i(-1) moves into t
-                h = self._h_neg1[i]
-                winv = self.W.inv(wnew)
-                tt = st[1]
-                st[1] = [
-                    F.mul(tt[0], self.chi_at(h, self.W.act(winv, 1))),
-                    F.mul(tt[1], self.chi_at(h, self.W.act(winv, 2))),
-                ]
+                st[1] = self._pull(st[1], wnew, self._h_neg1[i])
             return
         # u_i(ci) n_i = n_i u_{-i}(-ci), then expand the negative root element
         st[3] = v

@@ -322,7 +322,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_verify_oracle(args) -> int:
-    from .oracle import DEFAULT_BUDGET, brute_constant, brute_intersect
+    from .oracle import DEFAULT_BUDGET, brute_intersect, coset_sum
 
     H = _algebra_of(args)
     G = H.G
@@ -332,10 +332,10 @@ def _cmd_verify_oracle(args) -> int:
     with _output(args) as fh:
         for i, j in product(I, J):
             for k, a in zip(K, _row(H, i, j, K)):
-                b = brute_constant(H, i, j, k, mode=1, budget=budget)
                 points = [H.point(t) for t in (i, j, k)]
                 lifts = [(G.lift(w), G.torus(*t)) for w, t in points]
-                brute_keys = set(brute_intersect(*lifts, G, budget=budget))
+                cosets = brute_intersect(*lifts, G, budget=budget)  # one scan for both checks
+                b, brute_keys = coset_sum(G, *lifts, cosets), set(cosets)
                 reps = intersect(*points[0], *points[1], *points[2], group=G)
                 algo_keys = {left_coset_key(r.g) for r in reps}
                 if a != b or brute_keys != algo_keys:

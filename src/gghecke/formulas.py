@@ -5,11 +5,12 @@ Each kind pattern's form is its own function, built once per field by its
 type's factory: it indexes the field's rows F._add, F._mul, F._neg, F._inv and
 the trace rows, and returns the p counts of its value over zeta exponents
 0..p-1.  A multiple of phi(x) adds at Tr(x), a Gauss-sum term the square counts,
-a root sum the counts of cyclo.root_sum over a row of the field's square- or
-cube-root table (or over every unit), a sum of phi(a w + b/w) over units w one
-Kloosterman row, each rotated by the trace of any phi factor, mod p; rows summed
-many times are read pre-rotated from per-field tables.  cyclo.root_sum is looked
-up per call, so the perfbench tracer's wrapper counts only while installed."""
+a root sum the counts of cyclo.root_sum over a row of the square- or cube-root
+table that Field.rth_roots caches (or over every unit), a sum of phi(a w + b/w)
+over units w one Kloosterman row, each rotated by the trace of any phi factor,
+mod p; rows summed many times are read pre-rotated from per-field tables.
+cyclo.root_sum is looked up per call, so the perfbench tracer's wrapper counts
+only while installed."""
 
 from . import cyclo, gf
 from .cyclo import CycloNum, kloosterman_counts, square_counts
@@ -51,11 +52,6 @@ def _rot(counts, s: int):
     return counts[-s:] + counts[:-s]
 
 
-def _roots(F: gf.Field, r: int) -> list:
-    """Row a: the r-th roots of a; row 0 is empty, as every form's target is a unit."""
-    return [()] + [tuple(F.rth_roots(a, r)) for a in F.units()]
-
-
 def _unit_sums(F: gf.Field) -> tuple:
     """(um, rows): the sum over units w of phi(a w + b/w) has the counts
     rows[um[a][b]].  For units a, b, w -> w/a makes it the Kloosterman row ab;
@@ -70,7 +66,9 @@ def _a2_forms(F: gf.Field, tr: list) -> dict:
     """The scope of A2's forms, fXYZ for the kinds (X, Y, Z); the rest are 0."""
     p, q = F.p, F.q
     A, M, N, I, T = F._add, F._mul, F._neg, F._inv, F._trace
-    m1, zero, cbrt, (um, kl) = N[1], (0,) * p, _roots(F, 3), _unit_sums(F)
+    m1, zero, (um, kl) = N[1], (0,) * p, _unit_sums(F)
+    F.rth_roots(1, 3)  # fills the field's table: row a holds the cube roots of a
+    cbrt = F._roots_cache[3]
     q2, q3 = (q**2,) + zero[1:], (q**3,) + zero[1:]
     q_at, one_at = ([_rot((n,) + zero[1:], s) for s in range(p)] for n in (q, 1))
 
@@ -158,7 +156,9 @@ def _b2_forms(F: gf.Field, tr: list) -> dict:
     p, q = F.p, F.q
     A, M, N, I, T = F._add, F._mul, F._neg, F._inv, F._trace
     m1, two, four, zero = N[1], F.of(2), F.of(4), (0,) * p
-    sqrt, units, (um, kl), sq = _roots(F, 2), F.units(), _unit_sums(F), square_counts(F)
+    units, (um, kl), sq = F.units(), _unit_sums(F), square_counts(F)
+    F.rth_roots(1, 2)  # fills the field's table: row a holds the square roots of a
+    sqrt = F._roots_cache[2]
     q3, q4 = (q**3,) + zero[1:], (q**4,) + zero[1:]
     q_at = [_rot((q,) + zero[1:], s) for s in range(p)]
     chi = [1 if F.is_square(x) else -1 for x in F.elements()]  # 1 at 0, as printed

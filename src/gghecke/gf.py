@@ -186,18 +186,19 @@ class Field:
         return a in self._squares or a == 0
 
     def rth_roots(self, a: int, r: int) -> frozenset[int]:
-        """All y with y^r = a.  {0} for a = 0; empty or gcd(r, q-1) solutions otherwise."""
+        """All y with y^r = a.  {0} for a = 0; empty or gcd(r, q-1) solutions otherwise.
+        Those of a unit a are row a of the cached table _roots_cache[r] (row 0 empty)."""
         if r < 1:
             raise ValueError("r must be >= 1")
         if a == 0:
             return frozenset((0,))
         cache = self._roots_cache
         if r not in cache:
-            table: dict[int, list[int]] = {}
+            rows: list[list[int]] = [[] for _ in range(self.q)]
             for y in range(1, self.q):
-                table.setdefault(self.pow(y, r), []).append(y)
-            cache[r] = {x: frozenset(ys) for x, ys in table.items()}
-        return cache[r].get(a, frozenset())
+                rows[self.pow(y, r)].append(y)
+            cache[r] = [frozenset(ys) for ys in rows]
+        return cache[r][a]
 
     # -- plumbing ------------------------------------------------------------
 

@@ -179,9 +179,6 @@ class HeckeAlgebra:
     def length(self, b: BasisElem) -> int:
         return self._lengths[b.kind]
 
-    def unit(self) -> BasisElem:
-        return BasisElem(3)
-
     # -- structure constants -----------------------------------------------------
 
     def _reps(self, kinds: tuple) -> dict:
@@ -190,16 +187,15 @@ class HeckeAlgebra:
             return tbl
         F, W = self.F, self.W
         x, y, z = (self._bw[k] for k in kinds)
-        # route: character pair (cz1, cz2) of k -> (index of k, trace rows of wz1, wz2)
-        zinv = W.inv(z)
-        zinv_x = W.mult(zinv, x)
+        # route: character pair (cz1, cz2) of k -> (index of k, trace rows of its
+        # chi_t(z^-1 alpha_1), chi_t(z^-1 alpha_2), which its point holds)
+        zinv_x = W.mult(W.inv(z), x)
         pz1, pz2 = W.act(zinv_x, 1), W.act(zinv_x, 2)
-        wz1, wz2 = W.act(zinv, 1), W.act(zinv, 2)
-        route, one, chi = {}, {}, self.G.chi_at
-        for k, (n, t, _) in self._tor.items():
+        route, one, chi, tr = {}, {}, self.G.chi_at, self._tr
+        for k, (n, t, cy) in self._tor.items():
             if k.kind == kinds[2]:
                 cz = (F.inv(chi(t, pz1)), F.inv(chi(t, pz2)))
-                hop = (n, self._tr[chi(t, wz1)], self._tr[chi(t, wz2)])
+                hop = (n, tr[cy[0]], tr[cy[1]])
                 route.setdefault(cz, []).append(hop)
                 one[n] = {cz: [hop]}
         buckets = defaultdict(Counter)  # (t0, t_mu) -> counts of its representatives' entries

@@ -33,7 +33,7 @@ from itertools import product
 
 from .chevalley import Group, GroupElem, chevalley_group
 from .gf import Field
-from .rootsys import Cmp, Record, WeylElem, weyl_group
+from .rootsys import Record, WeylElem, weyl_group
 
 __all__ = [
     "Subexpr",
@@ -116,7 +116,7 @@ def distinguished_subexprs(x: WeylElem, y: WeylElem, z: WeylElem) -> tuple:
                 found.append((j, types))
             return
         i = word[n - m]
-        descent = W.descent(tau, i, y) is Cmp.LESS
+        descent = W.descent(tau, i, y)
         if descent:
             rec(m + 1, tau, (0,) + j, "B" + types)
         rec(m + 1, W.mult(W.simple(i), tau), (i,) + j, ("A" if descent else "C") + types)

@@ -15,13 +15,14 @@ import itertools
 from .chevalley import Group, GroupElem, chevalley_group
 from .cyclo import CycloNum, phi
 from .gf import Field
-from .hecke import BasisElem, HeckeAlgebra, hecke_algebra
+from .hecke import BasisElem, HeckeAlgebra
 from .intersect import left_coset_key
 
 __all__ = [
     "BudgetExceeded",
     "enumerate_group",
     "brute_intersect",
+    "coset_sum",
     "brute_constant",
     "idempotent",
     "ene",
@@ -136,12 +137,6 @@ def vec_convolve(G: Group, a: dict, b: dict) -> dict:
     return {g: c for g, c in out.items() if not c.is_zero()}
 
 
-def vec_equal(a: dict, b: dict) -> bool:
-    return {g: c for g, c in a.items() if not c.is_zero()} == {
-        g: c for g, c in b.items() if not c.is_zero()
-    }
-
-
 def brute_constant(
     H: HeckeAlgebra,
     i: BasisElem,
@@ -152,11 +147,7 @@ def brute_constant(
 ) -> CycloNum:
     """S_{ij}^k from scratch.
 
-    Mode 1 evaluates the coset-sum formula over brute_intersect's
-    representatives: for each gU, with g = u (xt_x) u' and
-    (zt_z)^{-1} g = n_{y^{-1}}-form h, the summand is
-    psi(v) psi(u'')^{-1}... reduced here to phi(Dv + Du'' - Du - Du')
-    where D is the sum of the two simple-root coordinates.
+    Mode 1 is coset_sum over brute_intersect's representatives.
 
     Mode 2 convolves E_i = e n_i e with E_j and extracts the coefficient
     at n_k: S = |U| q^{l_i + l_j} (E_i * E_j)(n_k).  ene gives |U|^2 E_i,
@@ -175,16 +166,21 @@ def brute_constant(
         return acc.scale(F.q ** (H.length(i) + H.length(j))).exact_div(F.q ** (3 * G.N))
     if mode != 1:
         raise ValueError("mode must be 1 or 2")
-    x, tx = H.point(i)
-    y, ty = H.point(j)
-    z, tz = H.point(k)
-    px = (G.lift(x), G.torus(*tx))
-    py = (G.lift(y), G.torus(*ty))
-    pz = (G.lift(z), G.torus(*tz))
-    xt = G.multiply(*px)
-    yt = G.multiply(*py)
-    zt = G.multiply(*pz)
-    cosets = brute_intersect(px, py, pz, G, budget=budget)
+    px, py, pz = ((G.lift(w), G.torus(*t)) for w, t in map(H.point, (i, j, k)))
+    return coset_sum(G, px, py, pz, brute_intersect(px, py, pz, G, budget=budget))
+
+
+def coset_sum(
+    G: Group, point_x: tuple, point_y: tuple, point_z: tuple, cosets: dict
+) -> CycloNum:
+    """S_{ij}^k by the coset-sum formula over the cosets that brute_intersect
+    returned for the same points: for each gU, with g = u (xt_x) u' and
+    (zt_z)^{-1} g = n_{y^{-1}}-form h, the summand is
+    psi(v) psi(u'')^{-1}... reduced here to phi(Dv + Du'' - Du - Du')
+    where D is the sum of the two simple-root coordinates.
+    """
+    F, yt = G.F, G.multiply(*point_y)
+    xt_inv, zt_inv = (G.invert(G.multiply(*p)) for p in (point_x, point_z))
     one = (F.of(1), F.of(1))
 
     def usum(e):
@@ -196,12 +192,10 @@ def brute_constant(
     counts = [0] * F.p
     for g in cosets.values():
         u = G.unipotent(g.u)
-        uprime = G.multiply(G.invert(xt), G.invert(u), g)
-        h = G.multiply(G.invert(zt), g)
+        uprime = G.multiply(xt_inv, G.invert(u), g)
+        h = G.multiply(zt_inv, g)
         v = G.unipotent(h.u)
         udd = G.multiply(yt, G.invert(v), h)
-        arg = F.sub(
-            F.add(usum(v), usum(udd)), F.add(usum(u), usum(uprime))
-        )
+        arg = F.sub(F.add(usum(v), usum(udd)), F.add(usum(u), usum(uprime)))
         counts[F.trace(arg)] += 1
     return CycloNum.from_zeta_counts(F.p, counts)

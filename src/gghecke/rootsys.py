@@ -19,18 +19,8 @@ the fixed lift word (checked in tests).
 ['1212', '212', '121', '']
 """
 
-from enum import IntEnum
 from functools import lru_cache
 from operator import attrgetter
-
-
-class Cmp(IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-LESS, EQUAL, GREATER = Cmp.LESS, Cmp.EQUAL, Cmp.GREATER
 
 _DATA = {
     # cartan[i-1][j-1] = <alpha_j, alpha_i^vee>
@@ -106,9 +96,6 @@ class RootSystem(Record):
             if (-r[0], -r[1]) == pair:
                 return i + 1 + n
         raise ValueError(f"{pair} is not a root of {self.tag}")
-
-    def is_root(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pos or (-pair[0], -pair[1]) in self.pos
 
     def pairing(self, pair: tuple[int, int], i: int) -> int:
         """<beta, alpha_i^vee> for beta given by its coefficient pair."""
@@ -209,9 +196,6 @@ class WeylGroup:
             out = self.mult(out, self._simple[i])
         return out
 
-    def longest(self) -> WeylElem:
-        return max(self.elements, key=lambda w: w.length())
-
     def basis_elements(self) -> tuple[WeylElem, ...]:
         """(w_0, w_1, w_2, w_3): longest coset representatives, fixed lifts."""
         if self.rs.tag == "A2":
@@ -225,14 +209,10 @@ class WeylGroup:
         n = self.rs.n_pos
         return tuple(i for i in range(1, n + 1) if w.perm[i - 1] > n)
 
-    def descent(self, w: WeylElem, s: int, y: WeylElem) -> Cmp:
-        """Compare l(s_s * w * y) with l(w * y); s = 0 is the identity."""
-        if s == 0:
-            return EQUAL
+    def descent(self, w: WeylElem, s: int, y: WeylElem) -> bool:
+        """Whether l(s_s * w * y) < l(w * y)."""
         wy = self.mult(w, y)
-        swy = self.mult(self._simple[s], wy)
-        d = swy.length() - wy.length()
-        return LESS if d < 0 else GREATER
+        return self.mult(self._simple[s], wy).length() < wy.length()
 
 
 @lru_cache(maxsize=None)

@@ -155,7 +155,7 @@ def test_group_axioms_on_random_words():
 def test_census_a2_q2():
     G = chevalley_group("A2", make_field(2))
     assert G.order() == 168
-    seen = {g.key() for g in G.iter_elements()}
+    seen = set(G.iter_elements())  # equal and hashed by (u, t, w, u2)
     assert len(seen) == 168
 
 
@@ -209,6 +209,7 @@ def build_ad(tag):
             ch |= put((c, a), v * rs.norm(b) / rs.norm(c))
 
     dim = 2 * n + 2
+    index = {rs.root(k): k for k in range(1, 2 * n + 1)}
     mats = {}
     for a in range(1, 2 * n + 1):
         m = [[Fraction(0)] * dim for _ in range(dim)]
@@ -219,8 +220,8 @@ def build_ad(tag):
                 c1, c2 = rs.root(a)
                 for i, ci in ((1, c1), (2, c2)):
                     m[2 * n + i - 1][b - 1] = Fraction(ci * rs.norm(i), rs.norm(a))
-            elif rs.is_root(s):
-                m[rs.index(s) - 1][b - 1] = N[(a, b)]
+            elif s in index:
+                m[index[s] - 1][b - 1] = N[(a, b)]
         for i in (1, 2):
             m[a - 1][2 * n + i - 1] = -Fraction(rs.pairing(rs.root(a), i))
         mats[a] = m
@@ -332,12 +333,12 @@ def test_normal_form_from_start(tag, fq):
     words = _random_words(G, 40, seed=17)
     for s, word in zip(words, words[7:] + words[:7]):
         g = G.normal_form(s)
-        key = g.key()
+        key = (g.u, g.t, g.w, g.u2)
         got = G.normal_form(word, start=g)
         assert got == G.multiply(g, G.normal_form(word))
         assert got == G.normal_form(G.expansion(g) + word)
         assert word_mat(G.expansion(got)) == word_mat(s + word)
-        assert g.key() == key
+        assert (g.u, g.t, g.w, g.u2) == key
     assert G.normal_form(words[0], start=G.identity()) == G.normal_form(words[0])
 
 
@@ -377,14 +378,22 @@ def test_coordinate_law_matches_adjoint(tag, fq):
         assert word_mat(_u_atoms(coords)) == word_mat(word)
 
 
-@pytest.mark.parametrize("tag,fq", [("A2", (2, 2)), ("B2", (3,))])
+@pytest.mark.parametrize("tag,fq", [("A2", (2, 2)), ("B2", (3,)), ("A2", (3,))])
 def test_splits_match_adjoint(tag, fq):
     # every u of U, split for every w: u = u_out * u_in with u_in on the
     # inversion set of w and u_out off it; and u = v * u_i(a_i) for the
-    # v = u * u_i(-a_i) that n_i absorption uses
+    # v = u * u_i(-a_i) that n_i absorption uses.  u_out is then conjugated
+    # through n_w by the engine's table: Ad(n_w) e_k = sign e_{w k} for every
+    # positive root k that w keeps positive (signs show in odd characteristic)
     F = make_field(*fq)
     G = chevalley_group(tag, F)
     word_mat = _adjoint_word_mat(tag, F)
+    for w in G.W.elements:
+        m = word_mat([("n", i, 1) for i in w.word])
+        for k, (wk, sign) in enumerate(G._conj[w][1], 1):
+            if k not in G.inv_set(w):
+                col = {r + 1: m[r][k - 1] for r in range(len(m)) if m[r][k - 1]}
+                assert col == {wk: sign}, (w, k)
     for u in itertools.product(F.elements(), repeat=G.N):
         m = word_mat(_u_atoms(u))
         for w in G.W.elements:

@@ -373,6 +373,57 @@ def test_verify_oracle_passes(capsys):
     assert payload["mismatches"] == []
 
 
+def _at_unit(*points):
+    # the (lift, torus) points of the triple (e3, e3, e3)
+    return all(lift.w.length() == 0 for lift, _ in points)
+
+
+def _oracle_mismatch(tmp_path) -> dict:
+    out = tmp_path / "report.json"
+    rc = run_cli(["verify-oracle", "--type", "A2", "--q", "2", "--out", str(out)])
+    assert rc == 1
+    payload = json.loads(out.read_text())
+    assert payload["checked"] == 64
+    assert len(payload["mismatches"]) == 1
+    m = payload["mismatches"][0]
+    assert (m["i"], m["j"], m["k"]) == ("3:", "3:", "3:")
+    assert m["algorithm"] == "1"
+    assert m["cosets"] == [[[], []]]
+    return m
+
+
+def test_verify_oracle_reports_dropped_coset(monkeypatch, tmp_path):
+    from gghecke import oracle
+
+    orig = oracle.brute_intersect
+
+    def dropped(px, py, pz, group, budget):
+        cosets = orig(px, py, pz, group, budget=budget)
+        if _at_unit(px, py, pz):
+            cosets.pop(next(iter(cosets)))
+        return cosets
+
+    monkeypatch.setattr(oracle, "brute_intersect", dropped)
+    m = _oracle_mismatch(tmp_path)
+    assert m["coset_sets_equal"] is False
+    assert m["oracle"] == "0"
+
+
+def test_verify_oracle_reports_changed_value(monkeypatch, tmp_path):
+    from gghecke import oracle
+
+    orig = oracle.coset_sum
+
+    def wrong(G, px, py, pz, cosets):
+        v = orig(G, px, py, pz, cosets)
+        return v + CycloNum.from_int(G.F.p, 1) if _at_unit(px, py, pz) else v
+
+    monkeypatch.setattr(oracle, "coset_sum", wrong)
+    m = _oracle_mismatch(tmp_path)
+    assert m["coset_sets_equal"] is True
+    assert m["oracle"] == "2"
+
+
 def test_sums(capsys):
     rc, payload = run_json(
         ["sums", "--q", "3", "--kloosterman", "1,1,1,1"], capsys

@@ -1,9 +1,11 @@
-"""A standing mutant census of the closed forms (run with -m slow).
+"""A standing mutant census of the closed forms and the group engine (run
+with -m slow).
 
 Each mutant is a patch at a stable seam: the per-pattern dispatch of
 gghecke.formulas.ClosedForms, one exact snippet of the formulas source, which
-must occur there once, or cyclo.root_sum, which every character-sum count goes
-through.  The patch is a pytest plugin, so the mutant's test ids run in a
+must occur there once, cyclo.root_sum, which every character-sum count goes
+through, or one sign of the engine's table chevalley._ETA, flipped before any
+group is built.  The patch is a pytest plugin, so the mutant's test ids run in a
 fresh pytest process (the algebras and the field tables are cached per
 process), and every one of them must fail; unmutated, the same ids pass.  A
 change that moves a seam updates the census with it.
@@ -40,6 +42,12 @@ def root_sum(field, roots, a, b, a2=0, b2=0):
 cyclo.root_sum = root_sum
 """
 
+# one sign of the engine's table flipped; every group reads it at construction
+_ETA_FLIP = """
+from gghecke import chevalley
+chevalley._ETA[{tag!r}][{key}] *= -1
+"""
+
 # the module executed from its source with one snippet replaced
 _REPLACE = """
 import sys, types
@@ -61,6 +69,10 @@ def _digests(*names):
 
 def _replace(old, new):
     return _REPLACE.format(path=str(FORMULAS), old=old, new=new), old
+
+
+def _engine(*names):
+    return [f"tests/test_chevalley.py::{n}" for n in names]
 
 
 ASSOCIATE = "tests/test_invariants.py::test_closed_forms_associate"
@@ -85,6 +97,14 @@ MUTANTS = {
     "root_sum without b/z": (_ROOT_SUM_NO_B, None,
                              _digests("A2-4", "B2-5", "B2-25")
                              + [f"{COUNTS}[q5]", f"{COUNTS}[q8]"]),
+    # characteristic 2 cannot see a sign, so the engine's ids are at odd q
+    "A2 eta (2,1) flipped": (_ETA_FLIP.format(tag="A2", key=(2, 1)), None, _engine(
+        "test_eta_tables_are_stable", "test_group_axioms_on_random_words",
+        "test_normal_form_matches_adjoint[A2-fq0-150]", "test_splits_match_adjoint[A2-fq2]")),
+    "B2 eta (1,3) flipped": (_ETA_FLIP.format(tag="B2", key=(1, 3)), None, _engine(
+        "test_eta_tables_are_stable", "test_normal_form_matches_adjoint[B2-fq2-150]",
+        "test_normal_form_matches_adjoint[B2-fq3-60]", "test_normal_form_matches_adjoint[B2-fq5-60]",
+        "test_normal_form_from_start[B2-5]", "test_splits_match_adjoint[B2-fq1]")),
 }
 
 
