@@ -9,6 +9,7 @@ by intersect; generation_expand evaluates the expansion of e_0(x, y)
 through e_1, e_2 products.
 """
 
+import gc
 from collections import Counter, defaultdict
 from functools import lru_cache
 from operator import itemgetter
@@ -183,8 +184,18 @@ class HeckeAlgebra:
 
     def _reps(self, kinds: tuple) -> dict:
         tbl = self._reptables.get(kinds)
-        if tbl is not None:
-            return tbl
+        if tbl is None:
+            # a build's objects all outlive it: the cyclic collector, paused, runs once after
+            collect = gc.isenabled()
+            gc.disable()
+            try:
+                tbl = self._reptables[kinds] = self._build_reps(kinds)
+            finally:
+                if collect:
+                    gc.enable()
+        return tbl
+
+    def _build_reps(self, kinds: tuple) -> dict:
         F, W = self.F, self.W
         x, y, z = (self._bw[k] for k in kinds)
         # route: character pair (cz1, cz2) of k -> (index of k, trace rows of its
@@ -208,8 +219,7 @@ class HeckeAlgebra:
             r = (F.div(tmu[0], t0[0]), F.div(tmu[1], t0[1]))
             index.setdefault(r, []).append((t0, [(*e, m) for e, m in counts.items()]))
             counts.clear()  # free each bucket's entries once the index holds them
-        tbl = self._reptables[kinds] = {"index": index, "route": route, "one": one}
-        return tbl
+        return {"index": index, "route": route, "one": one}
 
     def _sweep(self, tbl: dict, tx: tuple, cy: tuple, route: dict) -> dict:
         """Zeta counts of S_ij^k by basis index of k, for the k in route.  Bucket

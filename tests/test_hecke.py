@@ -1,4 +1,5 @@
 """Hecke algebra basis, structure constants, closed forms."""
+import gc
 import itertools
 import random
 
@@ -240,6 +241,37 @@ def test_single_constant_agrees_with_multiply(monkeypatch):
             for k in H.basis:
                 assert H.structure_constant(i, j, k) == prod.get(k, p), (tag, pf, i, j, k)
     assert walks == {"route keys", "ratios"}
+
+
+def test_rep_table_build_pauses_the_collector(monkeypatch):
+    # a build runs with the cyclic collector off and leaves it as it found it,
+    # also when the build fails
+    H, seen = HeckeAlgebra("A2", make_field(3)), []
+    build = H._build_reps
+
+    def spy(kinds):
+        seen.append(gc.isenabled())
+        return build(kinds)
+
+    monkeypatch.setattr(H, "_build_reps", spy)
+    assert gc.isenabled()
+    tbl = H._reps((0, 0, 0))
+    assert gc.isenabled() and seen == [False]
+    assert H._reps((0, 0, 0)) is tbl and seen == [False]  # a built table is read back
+    gc.disable()
+    try:
+        H._reps((1, 2, 3))
+        assert not gc.isenabled() and seen == [False, False]
+    finally:
+        gc.enable()
+
+    def broken(kinds):
+        raise AssertionError("build failed")
+
+    monkeypatch.setattr(H, "_build_reps", broken)
+    with pytest.raises(AssertionError, match="^build failed$"):
+        H._reps((3, 3, 3))
+    assert gc.isenabled() and (3, 3, 3) not in H._reptables
 
 
 @pytest.mark.parametrize("tag,q", [("A2", (2, 2)), ("B2", (5,))])
