@@ -70,7 +70,7 @@ class CycloNum(tuple):
         if len(counts) != p:
             raise ValueError(f"need {p} zeta counts for p = {p}, got {len(counts)}")
         top = counts[p - 1]
-        return CycloNum._of([c - top for c in counts[:p - 1]] if top else counts[:p - 1])
+        return tuple.__new__(CycloNum, [c - top for c in counts[:p - 1]] if top else counts[:p - 1])
 
     # -- ring ops -------------------------------------------------------------
 

@@ -110,6 +110,7 @@ class HeckeAlgebra:
         # a psi-argument is the sum of these rows over its terms, mod p
         F = field
         self._tr = [[F.trace(F.mul(c, x)) for x in F.elements()] for c in F.elements()]
+        self._zero = CycloNum.zero(F.p)  # every fast-path miss, shared: a CycloNum is immutable
         # the closed forms load on the first table_formula; a plain attribute, as a
         # cached_property reads __dict__, which slows every later attribute read
         self._closed_form = self._first_closed_form
@@ -198,54 +199,49 @@ class HeckeAlgebra:
     def _build_reps(self, kinds: tuple) -> dict:
         F, W = self.F, self.W
         x, y, z = (self._bw[k] for k in kinds)
-        # route: character pair (cz1, cz2) of k -> (index of k, trace rows of its
-        # chi_t(z^-1 alpha_1), chi_t(z^-1 alpha_2), which its point holds)
+        # route: pair cz of k -> hop (index of k, trace rows of the chi_t(z^-1 alpha_s)
+        # its point holds); at: index of k -> (cz, hop).  t -> cz is injective, as z^-1 x
+        # takes the simple roots to a basis of the root lattice: one target per key
         zinv_x = W.mult(W.inv(z), x)
         pz1, pz2 = W.act(zinv_x, 1), W.act(zinv_x, 2)
-        route, one, chi, tr = {}, {}, self.G.chi_at, self._tr
+        route, at, chi, tr = {}, {}, self.G.chi_at, self._tr
         for k, (n, t, cy) in self._tor.items():
-            if k.kind == kinds[2]:
+            if k[0] == kinds[2]:
                 cz = (F.inv(chi(t, pz1)), F.inv(chi(t, pz2)))
-                hop = (n, tr[cy[0]], tr[cy[1]])
-                route.setdefault(cz, []).append(hop)
-                one[n] = {cz: [hop]}
-        buckets = defaultdict(Counter)  # (t0, t_mu) -> counts of its representatives' entries
+                if cz in route:
+                    raise AssertionError("two route targets share a key")
+                route[cz] = hop = (n, tr[cy[0]], tr[cy[1]])
+                at[n] = (cz, hop)
+        # ratio t_mu / t0 -> counts of its entries with t0 folded into the tails, then
+        # flat as (dv, du1, du2, t0_1*dw1, t0_2*dw2, count): Tr((c_y*t0)*dw) = Tr(c_y*(t0*dw))
+        index, rows, div = defaultdict(Counter), F._mul, F.div
         for sub in distinguished_subexprs(x, y, z):
-            for t0, tmu, entry in rep_entries(sub, F):
-                buckets[t0, tmu][entry] += 1
-        # ratio t_mu / t0 -> its buckets (t0, entries as (*entry, count))
-        index = {}
-        for (t0, tmu), counts in buckets.items():
-            r = (F.div(tmu[0], t0[0]), F.div(tmu[1], t0[1]))
-            index.setdefault(r, []).append((t0, [(*e, m) for e, m in counts.items()]))
-            counts.clear()  # free each bucket's entries once the index holds them
-        return {"index": index, "route": route, "one": one}
+            for (s1, s2), (m1, m2), (dv, du1, du2, dw1, dw2) in rep_entries(sub, F):
+                index[div(m1, s1), div(m2, s2)][dv, du1, du2, rows[s1][dw1], rows[s2][dw2]] += 1
+        for r, counts in index.items():  # each ratio's Counter freed as its list replaces it
+            index[r] = [(*e, m) for e, m in counts.items()]
+        return {"index": dict(index), "route": route, "at": at}
 
-    def _sweep(self, tbl: dict, tx: tuple, cy: tuple, route: dict) -> dict:
-        """Zeta counts of S_ij^k by basis index of k, for the k in route.  Bucket
-        (t0, tmu) serves the k whose pair cz solves tmu/t0 = cz*tx*cy componentwise;
-        each key of the smaller side, route or ratio index, is looked up in the other."""
-        p, rows, inv, tr = self.F.p, self.F._mul, self.F.inv, self._tr  # rows[c][x] = c*x
-        ry1, ry2 = rows[cy[0]], rows[cy[1]]
-        xy1, xy2 = ry1[tx[0]], ry2[tx[1]]
-        r1, r2 = rows[xy1], rows[xy2]  # x -> x*tx*cy componentwise
-        index = tbl["index"]
+    def _count(self, hop: tuple, cy: tuple, entries: list) -> list:
+        """Zeta counts of S_ij^k: each entry of its ratio adds m at dv - Tr(cz*du) - Tr(cy*dw)."""
+        p, (_, wz1, wz2), wy1, wy2 = self.F.p, hop, self._tr[cy[0]], self._tr[cy[1]]
+        counts = [0] * p
+        for dv, du1, du2, dw1, dw2, m in entries:
+            counts[(dv - wz1[du1] - wz2[du2] - wy1[dw1] - wy2[dw2]) % p] += m
+        return counts
+
+    def _sweep(self, tbl: dict, tx: tuple, cy: tuple) -> dict:
+        """Zeta counts of S_ij^k by basis index of k, for every k of the pattern: ratio r
+        serves the k with r = cz*tx*cy; each key of the smaller side is looked up in the other."""
+        rows, index, route = self.F._mul, tbl["index"], tbl["route"]  # rows[c][x] = c*x
+        xy1, xy2 = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]
         if len(route) <= len(index):
-            hits = [(hops, bs) for (c1, c2), hops in route.items()
-                    if (bs := index.get((r1[c1], r2[c2])))]
+            r1, r2 = rows[xy1], rows[xy2]  # x -> x*tx*cy componentwise
+            hits = ((hop, index.get((r1[c1], r2[c2]))) for (c1, c2), hop in route.items())
         else:
-            r1, r2 = rows[inv(xy1)], rows[inv(xy2)]  # x -> x/(tx*cy)
-            hits = [(hops, bs) for (c1, c2), bs in index.items()
-                    if (hops := route.get((r1[c1], r2[c2])))]
-        out = {}
-        for hops, buckets in hits:
-            for t0, entries in buckets:
-                wy1, wy2 = tr[ry1[t0[0]]], tr[ry2[t0[1]]]
-                for n, wz1, wz2 in hops:
-                    counts = out.setdefault(n, [0] * p)
-                    for dv, du1, du2, dw1, dw2, m in entries:
-                        counts[(dv - wz1[du1] - wz2[du2] - wy1[dw1] - wy2[dw2]) % p] += m
-        return out
+            r1, r2 = rows[self.F._inv[xy1]], rows[self.F._inv[xy2]]  # x -> x/(tx*cy)
+            hits = ((route.get((r1[c1], r2[c2])), es) for (c1, c2), es in index.items())
+        return {hop[0]: self._count(hop, cy, es) for hop, es in hits if hop and es}
 
     def structure_constant(
         self, i: BasisElem, j: BasisElem, k: BasisElem, method: str = "fast"
@@ -269,10 +265,14 @@ class HeckeAlgebra:
             return CycloNum.from_zeta_counts(F.p, counts)
         if method != "fast":
             raise ValueError("method must be 'fast' or 'direct'")
+        # one ratio lookup, r = cz*tx*cy: no entries there is a zero constant
         (_, tx, _), (_, _, cy), (n, _, _) = self._tor[i], self._tor[j], self._tor[k]
-        tbl = self._reps((i.kind, j.kind, k.kind))
-        counts = self._sweep(tbl, tx, cy, tbl["one"][n]).get(n, [0] * F.p)
-        return CycloNum.from_zeta_counts(F.p, counts)
+        tbl, rows = self._reps((i[0], j[0], k[0])), F._mul
+        (c1, c2), hop = tbl["at"][n]
+        entries = tbl["index"].get((rows[rows[c1][tx[0]]][cy[0]], rows[rows[c2][tx[1]]][cy[1]]))
+        if entries is None:
+            return self._zero
+        return CycloNum.from_zeta_counts(F.p, self._count(hop, cy, entries))
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
         """e_i e_j: one sweep of each of its four kind patterns."""
@@ -281,7 +281,7 @@ class HeckeAlgebra:
         p, basis, fold, out = self.F.p, self.basis, CycloNum.from_zeta_counts, vec.coeffs
         for kind in range(4):
             tbl = self._reps((i.kind, j.kind, kind))
-            for n, counts in self._sweep(tbl, tx, cy, tbl["route"]).items():
+            for n, counts in self._sweep(tbl, tx, cy).items():
                 if any(c := fold(p, counts)):  # a HeckeVec holds no zero value
                     out[basis[n]] = c
         return vec

@@ -217,9 +217,9 @@ def _torus_factors(G: Group, roots: list, a: tuple) -> tuple:
     """From a leaf of mu to one of a.mu: a (u t n_x u') e^-1 = (a u a^-1) (a t x(e^-1))
     n_x (e u' e^-1) and h -> z^-1(a) h e^-1 scale u by a, h's head by z^-1(a), both tails
     by e, t_mu by chi_a(x alpha_j) / e_j, t_zero by chi_a(zy^-1 alpha_j) / e_j (1: w = zy^-1)."""
-    div, chi = G.F.div, G.chi_at
-    z1, z2, e1, e2, x1, x2, y1, y2 = (chi(a, k) for k in roots)
-    return (*a, z1, z2, e1, e2, div(x1, e1), div(x2, e2), div(y1, e1), div(y2, e2))
+    M, I, P, C = G.F._mul, G.F._inv, G._pow, G._coef  # chi_a(k) off chi_at's own tables
+    z1, z2, e1, e2, x1, x2, y1, y2 = (M[P[c][a[0]]][P[d][a[1]]] for c, d in map(C.get, roots))
+    return (*a, z1, z2, e1, e2, M[x1][I[e1]], M[x2][I[e2]], M[y1][I[e1]], M[y2][I[e2]])
 
 
 def rep_entries(sub: Subexpr, field: Field):
@@ -229,7 +229,7 @@ def rep_entries(sub: Subexpr, field: Field):
     and n_z^{-1} D_j(r) growing a letter per trie node; they pass _checked.  Each mu =
     a.r scales r's coordinates by a's _torus_factors; its t_zero must be an involution."""
     G = chevalley_group(sub.tag, field)
-    F, mul, one = field, field.mul, (1, 1)
+    F, M, A, T, one = field, field._mul, field._add, field._trace, (1, 1)
     doms = _domains(sub.types, F)
     letters = [[_letter(G, i, c, m) for m in d] for i, c, d in zip(sub.x.word, sub.types, doms)]
     betas, roots = _orbit_roots(G, sub)
@@ -247,18 +247,18 @@ def rep_entries(sub: Subexpr, field: Field):
             f = factors.get(a) or factors.setdefault(a, _torus_factors(G, roots, a))
             a1, a2, z1, z2, e1, e2, m1, m2, o1, o2 = f
             t0, tmu, hu1, hu2, gu1, gu2, dw1, dw2 = reps[r]
-            t0 = t0 if o1 == o2 == 1 else (mul(t0[0], o1), mul(t0[1], o2))
-            if mul(t0[0], t0[0]) != 1 or mul(t0[1], t0[1]) != 1:
+            t0 = t0 if o1 == o2 == 1 else (M[t0[0]][o1], M[t0[1]][o2])
+            if M[t0[0]][t0[0]] != 1 or M[t0[1]][t0[1]] != 1:
                 raise AssertionError("correction torus is not an involution")
-            dv = F.trace(F.add(mul(z1, hu1), mul(z2, hu2)))
-            yield t0, (mul(tmu[0], m1), mul(tmu[1], m2)), (
-                dv, mul(a1, gu1), mul(a2, gu2), mul(e1, dw1), mul(e2, dw2))
+            dv = T[A[M[z1][hu1]][M[z2][hu2]]]
+            yield t0, (M[tmu[0]][m1], M[tmu[1]][m2]), (
+                dv, M[a1][gu1], M[a2][gu2], M[e1][dw1], M[e2][dw2])
             return
         if beta := betas[k]:  # None at a C letter, whose parameter is 1
-            tbl, inv_scale = _orbit_table(G, beta, kernel), F.inv(G.chi_at(a, beta))
+            tbl, unscale = _orbit_table(G, beta, kernel), M[F._inv[G.chi_at(a, beta)]]
         for v, atoms in zip(doms[k], letters[k]):
-            rv, s = tbl[mul(v, inv_scale)] if beta and v else (v, one)
-            b = a if s == one else (mul(a[0], s[0]), mul(a[1], s[1]))
+            rv, s = tbl[unscale[v]] if beta and v else (v, one)
+            b = a if s == one else (M[a[0]][s[0]], M[a[1]][s[1]])
             step = tuple(G.normal_form(atoms, p) for p in gh) if gh and b is a else None
             yield from walk(k + 1, step, b, kernel + (beta,) if beta and v else kernel, r + (rv,))
 

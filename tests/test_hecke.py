@@ -208,21 +208,22 @@ def test_multiply_agrees_with_direct(tag, q):
 
 
 class _Lookups(dict):
-    """A dict that notes the walk direction it serves whenever it is read."""
+    """A dict that logs the name of its side whenever it is read."""
 
-    def __init__(self, items, walk, seen):
+    def __init__(self, items, side, log):
         super().__init__(items)
-        self.walk, self.seen = walk, seen
+        self.side, self.log = side, log
 
     def get(self, key, default=None):
-        self.seen.add(self.walk)
+        self.log.append(self.side)
         return super().get(key, default)
 
 
 def test_single_constant_agrees_with_multiply(monkeypatch):
     # the sweep looks the route keys up in the ratio index, or the ratios up
-    # in the route, whichever side is smaller: both must come up somewhere
-    walks = set()
+    # in the route, whichever side is smaller: both must come up somewhere.
+    # A single constant is one ratio lookup, whatever the sides' sizes
+    walks, log = set(), []
     for tag, pf in [("A2", (5,)), ("B2", (5,)), ("A2", (2, 2))]:
         H = hecke_algebra(tag, make_field(*pf))
         tables = {}
@@ -230,17 +231,46 @@ def test_single_constant_agrees_with_multiply(monkeypatch):
             tbl = H._reps(kinds)
             tables[kinds] = {
                 **tbl,
-                "index": _Lookups(tbl["index"], "route keys", walks),
-                "route": _Lookups(tbl["route"], "ratios", walks),
-                "one": {n: _Lookups(r, "ratios", walks) for n, r in tbl["one"].items()},
+                "index": _Lookups(tbl["index"], "route keys", log),
+                "route": _Lookups(tbl["route"], "ratios", log),
             }
         monkeypatch.setattr(H, "_reptables", tables)
         p = H.F.p
         for i, j in itertools.product(H.basis, repeat=2):
             prod = H.multiply(i, j)
+            walks.update(log)
             for k in H.basis:
+                log.clear()
                 assert H.structure_constant(i, j, k) == prod.get(k, p), (tag, pf, i, j, k)
+                assert log == ["route keys"], (tag, pf, i, j, k)
     assert walks == {"route keys", "ratios"}
+
+
+def test_route_key_with_two_targets_fails_the_build(monkeypatch):
+    # t -> c_z(t) is injective on the torus, so each route key has one target;
+    # characters that send every target to one key must stop the build
+    H = HeckeAlgebra("B2", make_field(5))
+    monkeypatch.setattr(Group, "chi_at", lambda self, t, idx: 1)
+    with pytest.raises(AssertionError, match="^two route targets share a key$"):
+        H._reps((0, 0, 0))
+    assert (0, 0, 0) not in H._reptables
+
+
+def test_single_constant_miss_is_zero():
+    # a triple whose ratio has no entries is zero without a count, and its
+    # product holds no such key
+    H = hecke_algebra("B2", make_field(5))
+    F, zero, misses = H.F, CycloNum.zero(5), 0
+    for i, j, k in itertools.product(H.basis, repeat=3):
+        (_, tx, _), (_, _, cy), (n, _, _) = H._tor[i], H._tor[j], H._tor[k]
+        tbl = H._reps((i.kind, j.kind, k.kind))
+        cz, _ = tbl["at"][n]
+        r = tuple(F.mul(F.mul(c, a), b) for c, a, b in zip(cz, tx, cy))
+        if r not in tbl["index"]:
+            misses += 1
+            assert H.structure_constant(i, j, k) == zero, (i, j, k)
+            assert k not in H.multiply(i, j).coeffs, (i, j, k)
+    assert misses == 8952
 
 
 def test_rep_table_build_pauses_the_collector(monkeypatch):

@@ -62,10 +62,10 @@ def test_rep_table_sizes_are_iwahori_hecke_constants(tag, pf):
     bw = W.basis_elements()
     for kinds in product(range(4), repeat=3):
         x, y, z = (bw[k] for k in kinds)
-        # the installed ratio index: equal entries of a bucket collapse into
+        # the installed ratio index: equal entries of a ratio collapse into
         # one with a count, and the counts lose no entry
         index = H._reps(kinds)["index"]
-        got = sum(e[-1] for bs in index.values() for _, entries in bs for e in entries)
+        got = sum(e[-1] for entries in index.values() for e in entries)
         assert got == _iwahori_hecke(W, F.q, x, y).get(z, 0), kinds
 
 

@@ -1,14 +1,16 @@
-"""A standing mutant census of the closed forms and the group engine (run
-with -m slow).
+"""A standing mutant census of the closed forms, the fast path and the group
+engine (run with -m slow).
 
 Each mutant is a patch at a stable seam: the per-pattern dispatch of
-gghecke.formulas.ClosedForms, one exact snippet of the formulas source, which
-must occur there once, cyclo.root_sum, which every character-sum count goes
-through, or one sign of the engine's table chevalley._ETA, flipped before any
-group is built.  The patch is a pytest plugin, so the mutant's test ids run in a
-fresh pytest process (the algebras and the field tables are cached per
-process), and every one of them must fail; unmutated, the same ids pass.  A
-change that moves a seam updates the census with it.
+gghecke.formulas.ClosedForms, one exact snippet of a module's source (formulas
+or hecke), which must occur there once, cyclo.root_sum, which every
+character-sum count goes through, hecke.rep_entries, the name under which the
+rep-table build reads its entries, or one sign of the engine's table
+chevalley._ETA, flipped before any group is built.  The patch is a pytest
+plugin, so the mutant's test ids run in a fresh pytest process (the algebras
+and the field tables are cached per process), and every one of them must fail;
+unmutated, the same ids pass.  A change that moves a seam updates the census
+with it.
 """
 import os
 import subprocess
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FORMULAS = ROOT / "src" / "gghecke" / "formulas.py"
+PACKAGE = ROOT / "src" / "gghecke"
 
 # the form of kinds (0, 0, 0) negated, through the dispatch table
 _NEGATE = """
@@ -42,6 +44,17 @@ def root_sum(field, roots, a, b, a2=0, b2=0):
 cyclo.root_sum = root_sum
 """
 
+# the first entry of every subexpression with its trace dv one off, as the
+# rep-table build reads rep_entries
+_DV_OFF = """
+from gghecke import hecke
+_rep_entries = hecke.rep_entries
+def rep_entries(sub, field):
+    for n, (t0, tmu, (dv, *rest)) in enumerate(_rep_entries(sub, field)):
+        yield t0, tmu, (dv + (n == 0), *rest)
+hecke.rep_entries = rep_entries
+"""
+
 # one sign of the engine's table flipped; every group reads it at construction
 _ETA_FLIP = """
 from gghecke import chevalley
@@ -52,13 +65,14 @@ chevalley._ETA[{tag!r}][{key}] *= -1
 _REPLACE = """
 import sys, types
 import gghecke
-path = {path!r}
+path, name = {path!r}, {name!r}
 with open(path, encoding="utf-8") as fh:
     text = fh.read().replace({old!r}, {new!r})
-mod = types.ModuleType("gghecke.formulas")
+mod = types.ModuleType("gghecke." + name)
 mod.__file__, mod.__package__ = path, "gghecke"
 exec(compile(text, path, "exec"), mod.__dict__)
-sys.modules["gghecke.formulas"] = gghecke.formulas = mod
+sys.modules["gghecke." + name] = mod
+setattr(gghecke, name, mod)
 """
 
 
@@ -67,17 +81,23 @@ def _digests(*names):
             for n in names]
 
 
-def _replace(old, new):
-    return _REPLACE.format(path=str(FORMULAS), old=old, new=new), old
+def _replace(old, new, module="formulas"):
+    """The plugin and seam of module gghecke.<module> with old replaced by new."""
+    path = PACKAGE / f"{module}.py"
+    return _REPLACE.format(path=str(path), name=module, old=old, new=new), (path, old)
 
 
 def _engine(*names):
     return [f"tests/test_chevalley.py::{n}" for n in names]
 
 
+def _fast(*names):
+    return [f"tests/test_hecke.py::{n}" for n in names]
+
+
 ASSOCIATE = "tests/test_invariants.py::test_closed_forms_associate"
 COUNTS = "tests/test_cyclo.py::test_count_tables_match_direct_counts"
-# name -> (plugin source, source snippet it replaces or None, ids that must fail)
+# name -> (plugin source, (source file, snippet it replaces) or None, ids that must fail)
 MUTANTS = {
     "A2 (0,0,0) negated": (_NEGATE.format(tag="A2"), None,
                            _digests("A2-4", "A2-7", "A2-25") + [f"{ASSOCIATE}[A2]"]),
@@ -97,6 +117,14 @@ MUTANTS = {
     "root_sum without b/z": (_ROOT_SUM_NO_B, None,
                              _digests("A2-4", "B2-5", "B2-25")
                              + [f"{COUNTS}[q5]", f"{COUNTS}[q8]"]),
+    # t0 = (1, 1) in characteristic 2, so the fast path's ids are at odd q
+    "t0 dropped from the folded tails": (*_replace(
+        "dv, du1, du2, rows[s1][dw1], rows[s2][dw2]", "dv, du1, du2, dw1, dw2", "hecke"),
+        _fast("test_fast_agrees_with_direct[A2-3]", "test_fast_agrees_with_direct[B2-3]",
+              "test_multiply_agrees_with_direct[A2-q0]", "test_multiply_agrees_with_direct[B2-q2]")),
+    "one entry's dv off by one": (_DV_OFF, None, _fast(
+        "test_fast_agrees_with_direct[A2-2]", "test_fast_agrees_with_direct[A2-3]",
+        "test_fast_agrees_with_direct[B2-3]", "test_multiply_agrees_with_direct[A2-q1]")),
     # characteristic 2 cannot see a sign, so the engine's ids are at odd q
     "A2 eta (2,1) flipped": (_ETA_FLIP.format(tag="A2", key=(2, 1)), None, _engine(
         "test_eta_tables_are_stable", "test_group_axioms_on_random_words",
@@ -125,7 +153,8 @@ def _pytest(ids, plugin_dir=None):
 def test_mutant_fails_its_tests(name, tmp_path):
     plugin, seam, ids = MUTANTS[name]
     if seam is not None:
-        assert FORMULAS.read_text(encoding="utf-8").count(seam) == 1, f"seam moved: {seam}"
+        path, old = seam
+        assert path.read_text(encoding="utf-8").count(old) == 1, f"seam moved: {old}"
     (tmp_path / "mutant.py").write_text(plugin, encoding="utf-8")
     failed, report = _pytest(ids, tmp_path)
     assert failed == set(ids), report
