@@ -212,12 +212,12 @@ class HeckeAlgebra:
                     raise AssertionError("two route targets share a key")
                 route[cz] = hop = (n, tr[cy[0]], tr[cy[1]])
                 at[n] = (cz, hop)
-        # ratio t_mu / t0 -> counts of its entries with t0 folded into the tails, then
-        # flat as (dv, du1, du2, t0_1*dw1, t0_2*dw2, count): Tr((c_y*t0)*dw) = Tr(c_y*(t0*dw))
-        index, rows, div = defaultdict(Counter), F._mul, F.div
+        # ratio t_mu / t0 = t_mu*t0 (t0 is an involution) -> its entries, t0 folded into the tails
+        # as a sweep adds Tr((c_y*t0)*dw) = Tr(c_y*(t0*dw)): (dv, du1, du2, t0_1*dw1, t0_2*dw2, m)
+        index, rows = defaultdict(Counter), F._mul
         for sub in distinguished_subexprs(x, y, z):
             for (s1, s2), (m1, m2), (dv, du1, du2, dw1, dw2) in rep_entries(sub, F):
-                index[div(m1, s1), div(m2, s2)][dv, du1, du2, rows[s1][dw1], rows[s2][dw2]] += 1
+                index[rows[s1][m1], rows[s2][m2]][dv, du1, du2, rows[s1][dw1], rows[s2][dw2]] += 1
         for r, counts in index.items():  # each ratio's Counter freed as its list replaces it
             index[r] = [(*e, m) for e, m in counts.items()]
         return {"index": dict(index), "route": route, "at": at}
