@@ -10,7 +10,7 @@ through e_1, e_2 products.
 """
 
 import gc
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import lru_cache
 from operator import itemgetter
 
@@ -101,7 +101,8 @@ class HeckeAlgebra:
         self._lengths = tuple(w.length() for w in self._bw)
         self._reptables = {}
         W, chi, self._tor = self.W, self.G.chi_at, _Points()
-        roots = [(W.act(W.inv(y), 1), W.act(W.inv(y), 2)) for y in self._bw]  # y^-1 alpha_s
+        # y^-1 alpha_s by kind: a point's characters, and the twist of a kind-x product
+        self._roots = roots = [(W.act(W.inv(y), 1), W.act(W.inv(y), 2)) for y in self._bw]
         for n, (b, t) in enumerate(self._compute_basis()):
             r1, r2 = roots[b.kind]
             self._tor[b] = (n, t, (chi(t, r1), chi(t, r2)))
@@ -109,11 +110,15 @@ class HeckeAlgebra:
         # row c is x -> trace(c*x); the trace is F_p-linear, so the trace of
         # a psi-argument is the sum of these rows over its terms, mod p
         F = field
-        self._tr = [[F.trace(F.mul(c, x)) for x in F.elements()] for c in F.elements()]
+        self._tr = tr = [[F.trace(F.mul(c, x)) for x in F.elements()] for c in F.elements()]
+        # the pair row of a unit pair c, made on first use: x1*q + x2 -> Tr(c1*x1) + Tr(c2*x2)
+        self._pair_row = lru_cache(maxsize=None)(
+            lambda c: tuple([a + b for a in tr[c[0]] for b in tr[c[1]]]))
         self._zero = CycloNum.zero(F.p)  # every fast-path miss, shared: a CycloNum is immutable
         # the closed forms load on the first table_formula; a plain attribute, as a
         # cached_property reads __dict__, which slows every later attribute read
         self._closed_form = self._first_closed_form
+        self._route = lru_cache(maxsize=None)(self._build_route)  # by (x kind, z kind)
 
     # -- basis ---------------------------------------------------------------
 
@@ -196,52 +201,64 @@ class HeckeAlgebra:
                     gc.enable()
         return tbl
 
-    def _build_reps(self, kinds: tuple) -> dict:
-        F, W = self.F, self.W
-        x, y, z = (self._bw[k] for k in kinds)
-        # route: pair cz of k -> hop (index of k, trace rows of the chi_t(z^-1 alpha_s)
-        # its point holds); at: index of k -> (cz, hop).  t -> cz is injective, as z^-1 x
-        # takes the simple roots to a basis of the root lattice: one target per key
-        zinv_x = W.mult(W.inv(z), x)
-        pz1, pz2 = W.act(zinv_x, 1), W.act(zinv_x, 2)
-        route, at, chi, tr = {}, {}, self.G.chi_at, self._tr
-        for k, (n, t, cy) in self._tor.items():
-            if k[0] == kinds[2]:
-                cz = (F.inv(chi(t, pz1)), F.inv(chi(t, pz2)))
+    def _twist(self, kind: int, t: tuple) -> tuple:
+        """chi_t(x^-1 alpha_s), s = 1, 2, x of the kind: a homomorphism of the torus."""
+        (r1, r2), (t1, t2), M, P = self._roots[kind], t, self.F._mul, self.G._pow
+        (a1, a2), (b1, b2) = self.G._coef[r1], self.G._coef[r2]
+        return M[P[a1][t1]][P[a2][t2]], M[P[b1][t1]][P[b2][t2]]
+
+    def _build_route(self, x_kind: int, z_kind: int) -> tuple:
+        """route: key cz of each k of the z kind -> index n of k; at: n -> cz; shared by every y.
+        t -> cz is injective, as z^-1 x takes the simple roots to a basis of the root lattice."""
+        W, inv, chi = self.W, self.F._inv, self.G.chi_at
+        zinv_x = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind])
+        pz1, pz2, route, at = W.act(zinv_x, 1), W.act(zinv_x, 2), {}, {}
+        for k, (n, t, _) in self._tor.items():
+            if k[0] == z_kind:
+                cz = (inv[chi(t, pz1)], inv[chi(t, pz2)])
                 if cz in route:
                     raise AssertionError("two route targets share a key")
-                route[cz] = hop = (n, tr[cy[0]], tr[cy[1]])
-                at[n] = (cz, hop)
-        # ratio t_mu / t0 = t_mu*t0 (t0 is an involution) -> its entries, t0 folded into the tails
-        # as a sweep adds Tr((c_y*t0)*dw) = Tr(c_y*(t0*dw)): (dv, du1, du2, t0_1*dw1, t0_2*dw2, m)
-        index, rows = defaultdict(Counter), F._mul
-        for sub in distinguished_subexprs(x, y, z):
-            for (s1, s2), (m1, m2), (dv, du1, du2, dw1, dw2) in rep_entries(sub, F):
-                index[rows[s1][m1], rows[s2][m2]][dv, du1, du2, rows[s1][dw1], rows[s2][dw2]] += 1
-        for r, counts in index.items():  # each ratio's Counter freed as its list replaces it
-            index[r] = [(*e, m) for e, m in counts.items()]
-        return {"index": dict(index), "route": route, "at": at}
+                route[cz], at[n] = n, cz
+        return route, at
 
-    def _count(self, hop: tuple, cy: tuple, entries: list) -> list:
-        """Zeta counts of S_ij^k: each entry of its ratio adds m at dv - Tr(cz*du) - Tr(cy*dw)."""
-        p, (_, wz1, wz2), wy1, wy2 = self.F.p, hop, self._tr[cy[0]], self._tr[cy[1]]
+    def _build_reps(self, kinds: tuple) -> dict:
+        F, (route, at) = self.F, self._route(kinds[0], kinds[2])
+        x, y, z = (self._bw[k] for k in kinds)
+        # ratio r = t_mu / t0 = t_mu*t0 (t0 is an involution) -> entries (dv, head, tail, m),
+        # each pair packed as pk[x1][x2]: tail = t0*dw, as Tr((cy*t0)*dw) = Tr(cy*(t0*dw)), and
+        # head = g_x(r)*du with g_x(c) = twist(1/c).  k's characters are g_x(cz) (the tests check
+        # it) and cz = r / (tx*cy), so Tr(kz*du) = Tr(twist(tx*cy)*head) for every k of a product
+        index, out, M, inv, q = defaultdict(dict), {}, F._mul, F._inv, F.q
+        pk = [list(range(x1 * q, x1 * q + q)) for x1 in range(q)]  # each packed int made once
+        for sub in distinguished_subexprs(x, y, z):
+            for (s1, s2), (m1, m2), (dv, u1, u2, w1, w2) in rep_entries(sub, F):  # du, dw
+                es, e = index[M[s1][m1], M[s2][m2]], (dv, u1, u2, pk[M[s1][w1]][M[s2][w2]])
+                es[e] = es.get(e, 0) + 1
+        # lists are made while every count lives: made as counts are freed, a list's tuples
+        # would take the freed counts' scattered slots, and a large table walks a third slower
+        for r, es in index.items():
+            g1, g2 = (M[inv[c]] for c in self._twist(kinds[0], r))  # rows of g_x(r)
+            out[r] = [(dv, pk[g1[u1]][g2[u2]], tail, m) for (dv, u1, u2, tail), m in es.items()]
+        return {"index": out, "route": route, "at": at}
+
+    def _count(self, ra, rc, entries: list) -> list:
+        """Zeta counts of S_ij^k: each entry adds m at dv - Tr(a*head) - Tr(cy*tail), off ra, rc."""
+        p = self.F.p
         counts = [0] * p
-        for dv, du1, du2, dw1, dw2, m in entries:
-            counts[(dv - wz1[du1] - wz2[du2] - wy1[dw1] - wy2[dw2]) % p] += m
+        for dv, head, tail, m in entries:
+            counts[(dv - ra[head] - rc[tail]) % p] += m
         return counts
 
-    def _sweep(self, tbl: dict, tx: tuple, cy: tuple) -> dict:
-        """Zeta counts of S_ij^k by basis index of k, for every k of the pattern: ratio r
-        serves the k with r = cz*tx*cy; each key of the smaller side is looked up in the other."""
+    def _sweep(self, tbl: dict, xy: tuple, ra, rc) -> dict:
+        """Zeta counts of S_ij^k by basis index of k, for every k of the pattern: r = cz*tx*cy."""
         rows, index, route = self.F._mul, tbl["index"], tbl["route"]  # rows[c][x] = c*x
-        xy1, xy2 = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]
         if len(route) <= len(index):
-            r1, r2 = rows[xy1], rows[xy2]  # x -> x*tx*cy componentwise
-            hits = ((hop, index.get((r1[c1], r2[c2]))) for (c1, c2), hop in route.items())
+            r1, r2 = rows[xy[0]], rows[xy[1]]  # x -> x*tx*cy componentwise
+            hits = ((n, index.get((r1[c1], r2[c2]))) for (c1, c2), n in route.items())
         else:
-            r1, r2 = rows[self.F._inv[xy1]], rows[self.F._inv[xy2]]  # x -> x/(tx*cy)
+            r1, r2 = rows[self.F._inv[xy[0]]], rows[self.F._inv[xy[1]]]  # x -> x/(tx*cy)
             hits = ((route.get((r1[c1], r2[c2])), es) for (c1, c2), es in index.items())
-        return {hop[0]: self._count(hop, cy, es) for hop, es in hits if hop and es}
+        return {n: self._count(ra, rc, es) for n, es in hits if es and n is not None}
 
     def structure_constant(
         self, i: BasisElem, j: BasisElem, k: BasisElem, method: str = "fast"
@@ -249,39 +266,35 @@ class HeckeAlgebra:
         """Coefficient of e_k in e_i e_j: sum of phi(Dv - Du - Du')."""
         F, G = self.F, self.G
         if method == "direct":
-            x, tx = self.point(i)
-            y, ty = self.point(j)
-            z, tz = self.point(k)
+            (x, tx), (y, ty), (z, tz) = self.point(i), self.point(j), self.point(k)
             counts = [0] * F.p
             for r in intersect(x, tx, y, ty, z, tz, group=G):
-                arg = F.sub(
-                    F.add(r.head_z[0], r.head_z[1]),
-                    F.add(
-                        F.add(r.head_x[0], r.head_x[1]),
-                        F.add(r.tail_x[0], r.tail_x[1]),
-                    ),
-                )
-                counts[F.trace(arg)] += 1
+                hz, hx, tl = (F.add(c[0], c[1]) for c in (r.head_z, r.head_x, r.tail_x))
+                counts[F.trace(F.sub(hz, F.add(hx, tl)))] += 1
             return CycloNum.from_zeta_counts(F.p, counts)
         if method != "fast":
             raise ValueError("method must be 'fast' or 'direct'")
         # one ratio lookup, r = cz*tx*cy: no entries there is a zero constant
         (_, tx, _), (_, _, cy), (n, _, _) = self._tor[i], self._tor[j], self._tor[k]
         tbl, rows = self._reps((i[0], j[0], k[0])), F._mul
-        (c1, c2), hop = tbl["at"][n]
+        c1, c2 = tbl["at"][n]
         entries = tbl["index"].get((rows[rows[c1][tx[0]]][cy[0]], rows[rows[c2][tx[1]]][cy[1]]))
         if entries is None:
             return self._zero
-        return CycloNum.from_zeta_counts(F.p, self._count(hop, cy, entries))
+        row, a = self._pair_row, self._twist(i[0], (rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]))
+        return CycloNum.from_zeta_counts(F.p, self._count(row(a), row(cy), entries))
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
         """e_i e_j: one sweep of each of its four kind patterns."""
         (_, tx, _), (_, _, cy) = self._tor[i], self._tor[j]
+        rows, row = self.F._mul, self._pair_row
+        xy = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]
+        ra, rc = row(self._twist(i[0], xy)), row(cy)  # shared by every k of all four sweeps
         vec = HeckeVec()  # filled in place, so its keys are hashed once
         p, basis, fold, out = self.F.p, self.basis, CycloNum.from_zeta_counts, vec.coeffs
         for kind in range(4):
             tbl = self._reps((i.kind, j.kind, kind))
-            for n, counts in self._sweep(tbl, tx, cy).items():
+            for n, counts in self._sweep(tbl, xy, ra, rc).items():
                 if any(c := fold(p, counts)):  # a HeckeVec holds no zero value
                     out[basis[n]] = c
         return vec
@@ -313,14 +326,10 @@ class HeckeAlgebra:
         p, q = F.p, F.q
         if not (1 <= x < q and 1 <= y < q):
             raise ValueError("arguments must be units")
-        acc = HeckeVec()
-        one = CycloNum.from_int(p, 1)
+        acc, one = HeckeVec(), CycloNum.from_int(p, 1)
         for z in F.units():
-            prod = self.multiply(
-                BasisElem(1, (F.neg(F.div(y, z)),)),
-                BasisElem(2, (F.neg(F.div(x, z)),)),
-            )
-            acc = acc + prod.scale(phi(F, z) - one)
+            e1, e2 = BasisElem(1, (F.neg(F.div(y, z)),)), BasisElem(2, (F.neg(F.div(x, z)),))
+            acc = acc + self.multiply(e1, e2).scale(phi(F, z) - one)
         acc = HeckeVec({b: c.exact_div(q) for b, c in acc.items()})
         if x == F.neg(y):
             acc = acc + HeckeVec({BasisElem(3): CycloNum.from_int(p, q * q)})

@@ -27,12 +27,10 @@ _DATA = {
     "A2": {
         "pos": ((1, 0), (0, 1), (1, 1)),
         "cartan": ((2, -1), (-1, 2)),
-        "norm": {(1, 0): 2, (0, 1): 2, (1, 1): 2},
     },
     "B2": {
         "pos": ((1, 0), (0, 1), (1, 1), (2, 1)),
         "cartan": ((2, -2), (-1, 2)),
-        "norm": {(1, 0): 2, (0, 1): 4, (1, 1): 2, (2, 1): 4},
     },
 }
 
@@ -109,13 +107,6 @@ class RootSystem(Record):
         if i == 1:
             return self.index((c1 - k, c2))
         return self.index((c1, c2 - k))
-
-    def norm(self, idx: int) -> int:
-        """(beta, beta), normalized so short roots have norm 2."""
-        c1, c2 = self.root(idx)
-        if c1 < 0 or (c1 == 0 and c2 < 0):
-            c1, c2 = -c1, -c2
-        return _DATA[self.tag]["norm"][(c1, c2)]
 
 
 class WeylElem(Record, compare=("perm",)):

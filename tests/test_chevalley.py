@@ -17,6 +17,7 @@ import pytest
 from gghecke.chevalley import _ETA, chevalley_group
 from gghecke.gf import make_field
 from gghecke.rootsys import root_system
+from test_rootsys import root_norms
 
 # Chevalley structure constants N(alpha, beta) fixed by the commutator
 # relations in the chevalley module docstring; build_ad closes them under
@@ -177,7 +178,7 @@ def test_foreign_element_rejected():
 def build_ad(tag):
     """ad matrices over Q for the 2N + 2 basis vectors, Jacobi-verified."""
     rs = root_system(tag)
-    n = rs.n_pos
+    n, norm = rs.n_pos, root_norms(rs)
 
     def radd(a, b):
         ra, rb = rs.root(a), rs.root(b)
@@ -205,8 +206,8 @@ def build_ad(tag):
             ch |= put((b, a), -v)
             ch |= put((neg(a), neg(b)), -v)
             c = neg(rs.index(radd(a, b)))
-            ch |= put((b, c), v * rs.norm(a) / rs.norm(c))
-            ch |= put((c, a), v * rs.norm(b) / rs.norm(c))
+            ch |= put((b, c), v * norm[a] / norm[c])
+            ch |= put((c, a), v * norm[b] / norm[c])
 
     dim = 2 * n + 2
     index = {rs.root(k): k for k in range(1, 2 * n + 1)}
@@ -219,7 +220,7 @@ def build_ad(tag):
                 # [e_a, e_{-a}] is the coroot of root(a) in the alpha_i^vee basis
                 c1, c2 = rs.root(a)
                 for i, ci in ((1, c1), (2, c2)):
-                    m[2 * n + i - 1][b - 1] = Fraction(ci * rs.norm(i), rs.norm(a))
+                    m[2 * n + i - 1][b - 1] = Fraction(ci * norm[i], norm[a])
             elif s in index:
                 m[index[s] - 1][b - 1] = N[(a, b)]
         for i in (1, 2):

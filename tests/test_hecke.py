@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gghecke.chevalley import Group
+from gghecke.chevalley import Group, chevalley_group
 from gghecke.cyclo import CycloNum, phi
 from gghecke.gf import make_field
 from gghecke.hecke import BasisElem, HeckeAlgebra, HeckeVec, hecke_algebra
@@ -256,6 +256,30 @@ def test_route_key_with_two_targets_fails_the_build(monkeypatch):
     assert (0, 0, 0) not in H._reptables
 
 
+@pytest.mark.parametrize(
+    "tag,pf",
+    [("A2", pf) for pf in [(2,), (3,), (2, 2), (5,), (7,), (2, 3), (3, 2)]]
+    + [("B2", pf) for pf in [(3,), (5,), (7,), (3, 2)]],
+    ids=[f"A2-{q}" for q in (2, 3, 4, 5, 7, 8, 9)] + [f"B2-{q}" for q in (3, 5, 7, 9)],
+)
+def test_route_characters_are_the_twist_of_their_key(tag, pf):
+    # a k at (z, t) holds kz = chi_t(z^-1 alpha_s); in a pattern with x on the left
+    # its route key is cz = 1 / chi_t(z^-1 x alpha_s).  The fast path reads kz off
+    # the key as g_x(cz) = chi_{1/cz}(x^-1 alpha_s), folded into the heads at build,
+    # and the build does not check it: it is checked here, from the group's characters
+    # and the Weyl action, for every x, z and t, so for every k of every pattern
+    F = make_field(*pf)
+    G = chevalley_group(tag, F)
+    W, chi = G.W, G.chi_at
+    for x, z in itertools.product(W.basis_elements(), repeat=2):
+        zinv, xinv, zinv_x = W.inv(z), W.inv(x), W.mult(W.inv(z), x)
+        for t in itertools.product(F.units(), repeat=2):
+            kz = tuple(chi(t, W.act(zinv, s)) for s in (1, 2))
+            cz = tuple(F.inv(chi(t, W.act(zinv_x, s))) for s in (1, 2))
+            g = tuple(chi(tuple(map(F.inv, cz)), W.act(xinv, s)) for s in (1, 2))
+            assert g == kz, (x, z, t)
+
+
 def test_single_constant_miss_is_zero():
     # a triple whose ratio has no entries is zero without a count, and its
     # product holds no such key
@@ -264,7 +288,7 @@ def test_single_constant_miss_is_zero():
     for i, j, k in itertools.product(H.basis, repeat=3):
         (_, tx, _), (_, _, cy), (n, _, _) = H._tor[i], H._tor[j], H._tor[k]
         tbl = H._reps((i.kind, j.kind, k.kind))
-        cz, _ = tbl["at"][n]
+        cz = tbl["at"][n]
         r = tuple(F.mul(F.mul(c, a), b) for c, a, b in zip(cz, tx, cy))
         if r not in tbl["index"]:
             misses += 1

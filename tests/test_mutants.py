@@ -117,11 +117,17 @@ MUTANTS = {
     "root_sum without b/z": (_ROOT_SUM_NO_B, None,
                              _digests("A2-4", "B2-5", "B2-25")
                              + [f"{COUNTS}[q5]", f"{COUNTS}[q8]"]),
-    # t0 = (1, 1) in characteristic 2, so the fast path's ids are at odd q
+    # t0 = (1, 1) in characteristic 2, so the fast path's ids are at odd q; the twist's
+    # also at q = 4, as only at q = 2 is every g_x(r) = (1, 1)
     "t0 dropped from the folded tails": (*_replace(
-        "dv, du1, du2, rows[s1][dw1], rows[s2][dw2]", "dv, du1, du2, dw1, dw2", "hecke"),
+        "pk[M[s1][w1]][M[s2][w2]]", "pk[w1][w2]", "hecke"),
         _fast("test_fast_agrees_with_direct[A2-3]", "test_fast_agrees_with_direct[B2-3]",
               "test_multiply_agrees_with_direct[A2-q0]", "test_multiply_agrees_with_direct[B2-q2]")),
+    "ratio twist dropped from the heads": (*_replace(
+        "pk[g1[u1]][g2[u2]]", "pk[u1][u2]", "hecke"),
+        _fast("test_fast_agrees_with_direct[A2-3]", "test_fast_agrees_with_direct[B2-3]",
+              "test_multiply_agrees_with_direct[A2-q0]", "test_multiply_agrees_with_direct[A2-q1]",
+              "test_multiply_agrees_with_direct[B2-q2]")),
     "one entry's dv off by one": (_DV_OFF, None, _fast(
         "test_fast_agrees_with_direct[A2-2]", "test_fast_agrees_with_direct[A2-3]",
         "test_fast_agrees_with_direct[B2-3]", "test_multiply_agrees_with_direct[A2-q1]")),
