@@ -5,8 +5,8 @@ The algebra e*QG*e has a basis indexed by pairs (w, t) with w one of the
 four basis Weyl elements and t restricted by a compatibility condition;
 the basis is computed from that condition, never hard-coded.  Structure
 constants are sums of psi-values over the coset representatives produced
-by intersect; generation_expand evaluates the expansion of e_0(x, y)
-through e_1, e_2 products.
+by intersect; a product reads them in one pass over its kind pair's sweep
+plan.  generation_expand expands e_0(x, y) through e_1, e_2 products.
 """
 
 import gc
@@ -93,16 +93,13 @@ class _Points(dict):
 
 class HeckeAlgebra:
     def __init__(self, tag: str, field: Field):
-        self.tag = tag
-        self.F = field
-        self.G = chevalley_group(tag, field)
+        self.tag, self.F, self.G = tag, field, chevalley_group(tag, field)
         self.W = self.G.W
         self._bw = self.W.basis_elements()
         self._lengths = tuple(w.length() for w in self._bw)
-        self._reptables = {}
-        W, chi, self._tor = self.W, self.G.chi_at, _Points()
-        # y^-1 alpha_s by kind: a point's characters, and the twist of a kind-x product
-        self._roots = roots = [(W.act(W.inv(y), 1), W.act(W.inv(y), 2)) for y in self._bw]
+        chi, self._tor, self._reptables = self.G.chi_at, _Points(), {}
+        # y^-1 alpha_s by kind (the group's conjugation table): a point's characters, a twist
+        self._roots = roots = [self.G._conj[y][0] for y in self._bw]
         for n, (b, t) in enumerate(self._compute_basis()):
             r1, r2 = roots[b.kind]
             self._tor[b] = (n, t, (chi(t, r1), chi(t, r2)))
@@ -119,6 +116,7 @@ class HeckeAlgebra:
         # cached_property reads __dict__, which slows every later attribute read
         self._closed_form = self._first_closed_form
         self._route = lru_cache(maxsize=None)(self._build_route)  # by (x kind, z kind)
+        self._plan = lru_cache(maxsize=None)(self._build_plan)  # by (i kind, j kind)
 
     # -- basis ---------------------------------------------------------------
 
@@ -189,8 +187,7 @@ class HeckeAlgebra:
     # -- structure constants -----------------------------------------------------
 
     def _reps(self, kinds: tuple) -> dict:
-        tbl = self._reptables.get(kinds)
-        if tbl is None:
+        if (tbl := self._reptables.get(kinds)) is None:
             # a build's objects all outlive it: the cyclic collector, paused, runs once after
             collect = gc.isenabled()
             gc.disable()
@@ -208,21 +205,21 @@ class HeckeAlgebra:
         return M[P[a1][t1]][P[a2][t2]], M[P[b1][t1]][P[b2][t2]]
 
     def _build_route(self, x_kind: int, z_kind: int) -> tuple:
-        """route: key cz of each k of the z kind -> index n of k; at: n -> cz; shared by every y.
-        t -> cz is injective, as z^-1 x takes the simple roots to a basis of the root lattice."""
-        W, inv, chi = self.W, self.F._inv, self.G.chi_at
-        zinv_x = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind])
-        pz1, pz2, route, at = W.act(zinv_x, 1), W.act(zinv_x, 2), {}, {}
+        """grid[c1][c2]: the k of the z kind with key cz = (c1, c2), or None; at: index of k -> cz.
+        Shared by every y; t -> cz is injective, as z^-1 x takes the simple roots to a basis."""
+        W, inv, chi, basis, q = self.W, self.F._inv, self.G.chi_at, self.basis, self.F.q
+        zinv_x, at = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind]), {}
+        pz1, pz2, grid = W.act(zinv_x, 1), W.act(zinv_x, 2), [[None] * q for _ in range(q)]
         for k, (n, t, _) in self._tor.items():
             if k[0] == z_kind:
-                cz = (inv[chi(t, pz1)], inv[chi(t, pz2)])
-                if cz in route:
+                c1, c2 = at[n] = inv[chi(t, pz1)], inv[chi(t, pz2)]
+                if grid[c1][c2] is not None:
                     raise AssertionError("two route targets share a key")
-                route[cz], at[n] = n, cz
-        return route, at
+                grid[c1][c2] = basis[n]
+        return grid, at
 
     def _build_reps(self, kinds: tuple) -> dict:
-        F, (route, at) = self.F, self._route(kinds[0], kinds[2])
+        F, (grid, at) = self.F, self._route(kinds[0], kinds[2])
         x, y, z = (self._bw[k] for k in kinds)
         # ratio r = t_mu / t0 = t_mu*t0 (t0 is an involution) -> entries (dv, head, tail, m),
         # each pair packed as pk[x1][x2]: tail = t0*dw, as Tr((cy*t0)*dw) = Tr(cy*(t0*dw)), and
@@ -239,7 +236,7 @@ class HeckeAlgebra:
         for r, es in index.items():
             g1, g2 = (M[inv[c]] for c in self._twist(kinds[0], r))  # rows of g_x(r)
             out[r] = [(dv, pk[g1[u1]][g2[u2]], tail, m) for (dv, u1, u2, tail), m in es.items()]
-        return {"index": out, "route": route, "at": at}
+        return {"index": out, "grid": grid, "at": at}
 
     def _count(self, ra, rc, entries: list) -> list:
         """Zeta counts of S_ij^k: each entry adds m at dv - Tr(a*head) - Tr(cy*tail), off ra, rc."""
@@ -249,16 +246,18 @@ class HeckeAlgebra:
             counts[(dv - ra[head] - rc[tail]) % p] += m
         return counts
 
-    def _sweep(self, tbl: dict, xy: tuple, ra, rc) -> dict:
-        """Zeta counts of S_ij^k by basis index of k, for every k of the pattern: r = cz*tx*cy."""
-        rows, index, route = self.F._mul, tbl["index"], tbl["route"]  # rows[c][x] = c*x
-        if len(route) <= len(index):
-            r1, r2 = rows[xy[0]], rows[xy[1]]  # x -> x*tx*cy componentwise
-            hits = ((n, index.get((r1[c1], r2[c2]))) for (c1, c2), n in route.items())
-        else:
-            r1, r2 = rows[self.F._inv[xy[0]]], rows[self.F._inv[xy[1]]]  # x -> x/(tx*cy)
-            hits = ((route.get((r1[c1], r2[c2])), es) for (c1, c2), es in index.items())
-        return {n: self._count(ra, rc, es) for n, es in hits if es and n is not None}
+    def _build_plan(self, i_kind: int, j_kind: int) -> tuple:
+        """The sweep plan of a kind pair, one flat list per join: each of its four tables walks the
+        fewer of its ratios (c1, c2, entries, grid) and route keys (c1, c2, k, ratio index)."""
+        ratios, keys, basis = [], [], self.basis
+        for z_kind in range(4):
+            tbl = self._reps((i_kind, j_kind, z_kind))
+            index, grid, at = tbl["index"], tbl["grid"], tbl["at"]
+            if len(at) <= len(index):
+                keys += [(c1, c2, basis[n], index) for n, (c1, c2) in at.items()]
+            else:
+                ratios += [(c1, c2, es, grid) for (c1, c2), es in index.items()]
+        return ratios, keys
 
     def structure_constant(
         self, i: BasisElem, j: BasisElem, k: BasisElem, method: str = "fast"
@@ -285,18 +284,20 @@ class HeckeAlgebra:
         return CycloNum.from_zeta_counts(F.p, self._count(row(a), row(cy), entries))
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
-        """e_i e_j: one sweep of each of its four kind patterns."""
-        (_, tx, _), (_, _, cy) = self._tor[i], self._tor[j]
-        rows, row = self.F._mul, self._pair_row
-        xy = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]
-        ra, rc = row(self._twist(i[0], xy)), row(cy)  # shared by every k of all four sweeps
-        vec = HeckeVec()  # filled in place, so its keys are hashed once
-        p, basis, fold, out = self.F.p, self.basis, CycloNum.from_zeta_counts, vec.coeffs
-        for kind in range(4):
-            tbl = self._reps((i.kind, j.kind, kind))
-            for n, counts in self._sweep(tbl, xy, ra, rc).items():
-                if any(c := fold(p, counts)):  # a HeckeVec holds no zero value
-                    out[basis[n]] = c
+        """e_i e_j: one pass over the sweep plan of its kind pair; r = cz*tx*cy."""
+        (_, tx, _), (_, _, cy), rows, row = self._tor[i], self._tor[j], self.F._mul, self._pair_row
+        x1, x2 = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]  # rows[c][x] = c*x
+        ra, rc = row(self._twist(i[0], (x1, x2))), row(cy)  # shared by every k of the product
+        (ratios, keys), vec = self._plan(i[0], j[0]), HeckeVec()  # filled in place: hashed once
+        p, count, fold, out = self.F.p, self._count, CycloNum.from_zeta_counts, vec.coeffs
+        r1, r2 = rows[self.F._inv[x1]], rows[self.F._inv[x2]]  # a ratio -> its route key
+        for c1, c2, es, grid in ratios:
+            if (k := grid[r1[c1]][r2[c2]]) is not None and any(c := fold(p, count(ra, rc, es))):
+                out[k] = c  # a HeckeVec holds no zero value
+        r1, r2 = rows[x1], rows[x2]  # a route key -> its ratio
+        for c1, c2, k, index in keys:
+            if (es := index.get((r1[c1], r2[c2]))) and any(c := fold(p, count(ra, rc, es))):
+                out[k] = c
         return vec
 
     # -- closed forms ------------------------------------------------------------
@@ -322,8 +323,7 @@ class HeckeAlgebra:
         """
         if self.tag != "A2":
             raise ValueError("generation identity is encoded for A2 only")
-        F = self.F
-        p, q = F.p, F.q
+        F, p, q = self.F, self.F.p, self.F.q
         if not (1 <= x < q and 1 <= y < q):
             raise ValueError("arguments must be units")
         acc, one = HeckeVec(), CycloNum.from_int(p, 1)

@@ -207,36 +207,42 @@ def test_multiply_agrees_with_direct(tag, q):
         assert H.multiply(i, j) == want, (i, j)
 
 
-class _Lookups(dict):
-    """A dict that logs the name of its side whenever it is read."""
+class _Logged:
+    """A copy of a table side that logs the side's name whenever it is read."""
 
     def __init__(self, items, side, log):
         super().__init__(items)
         self.side, self.log = side, log
 
+
+class _Lookups(_Logged, dict):
     def get(self, key, default=None):
         self.log.append(self.side)
         return super().get(key, default)
 
 
-def test_single_constant_agrees_with_multiply(monkeypatch):
-    # the sweep looks the route keys up in the ratio index, or the ratios up
-    # in the route, whichever side is smaller: both must come up somewhere.
-    # A single constant is one ratio lookup, whatever the sides' sizes
+class _Rows(_Logged, list):
+    def __getitem__(self, c):
+        self.log.append(self.side)
+        return super().__getitem__(c)
+
+
+def test_single_constant_agrees_with_multiply():
+    # a product's plan walks each table's route keys, each looked up in the ratio
+    # index, or its ratios, each looked up in the route grid, whichever side is
+    # smaller: both must come up somewhere.  A single constant is one ratio lookup,
+    # whatever the sides' sizes.  Each algebra is fresh, so no plan was made before
+    # its tables log their reads
     walks, log = set(), []
     for tag, pf in [("A2", (5,)), ("B2", (5,)), ("A2", (2, 2))]:
-        H = hecke_algebra(tag, make_field(*pf))
-        tables = {}
+        H = HeckeAlgebra(tag, make_field(*pf))
         for kinds in itertools.product(range(4), repeat=3):
             tbl = H._reps(kinds)
-            tables[kinds] = {
-                **tbl,
-                "index": _Lookups(tbl["index"], "route keys", log),
-                "route": _Lookups(tbl["route"], "ratios", log),
-            }
-        monkeypatch.setattr(H, "_reptables", tables)
+            tbl["index"] = _Lookups(tbl["index"], "route keys", log)
+            tbl["grid"] = _Rows(tbl["grid"], "ratios", log)
         p = H.F.p
         for i, j in itertools.product(H.basis, repeat=2):
+            log.clear()
             prod = H.multiply(i, j)
             walks.update(log)
             for k in H.basis:

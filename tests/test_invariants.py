@@ -328,3 +328,29 @@ def test_closed_forms_associate(tag, pf):
         if left != right:
             bad.append((i, j, l, m, left, right))
     assert not bad, (len(bad), bad[:3])
+
+
+@pytest.mark.parametrize("pf", [(7,), (2, 3), (3, 2), (11,), (2, 4)],
+                         ids=["A2-7", "A2-8", "A2-9", "A2-11", "A2-16"])
+def test_closed_forms_satisfy_generation_identity(pf):
+    # e_0(x, y) = q^-1 sum_z (phi(z) - 1) e_1(-y/z) e_2(-x/z) + q^2 [x = -y] e_3
+    # on table_formula alone, no product computed: for every (x, y), at k = e_0(x, y),
+    # e_3 and four seeded k, times q, sum_z (phi(z) - 1) S(e_1(-y/z), e_2(-x/z), k)
+    # + q^3 [x = -y][k = e_3] = q [k = e_0(x, y)].  A Galois twist sigma_a (a != 1)
+    # of every constant keeps the duality and associativity above and breaks this,
+    # as the twisted sum is the one of (x/a, y/a); in characteristic 2 no such a exists
+    H = hecke_algebra("A2", make_field(*pf))
+    F, p, q = H.F, H.F.p, H.F.q
+    e3, zero, rng = BasisElem(3), CycloNum.zero(p), random.Random(q)
+    weights = {z: phi(F, z) - CycloNum.from_int(p, 1) for z in F.units()}
+    bad = []
+    for x, y in product(F.units(), repeat=2):
+        e0 = BasisElem(0, (x, y))
+        left = [(BasisElem(1, (F.neg(F.div(y, z)),)), BasisElem(2, (F.neg(F.div(x, z)),)), w)
+                for z, w in weights.items()]
+        for k in (e0, e3, *rng.sample(H.basis, 4)):
+            acc = CycloNum.from_int(p, q**3 if x == F.neg(y) and k == e3 else 0)
+            acc = sum((w * H.table_formula(i, j, k) for i, j, w in left), acc)
+            if acc != CycloNum.from_int(p, q if k == e0 else 0):
+                bad.append((x, y, k))
+    assert not bad, (len(bad), bad[:5])

@@ -2,10 +2,11 @@
 engine (run with -m slow).
 
 Each mutant is a patch at a stable seam: the per-pattern dispatch of
-gghecke.formulas.ClosedForms, one exact snippet of a module's source (formulas
-or hecke), which must occur there once, cyclo.root_sum, which every
-character-sum count goes through, hecke.rep_entries, the name under which the
-rep-table build reads its entries, or one sign of the engine's table
+gghecke.formulas.ClosedForms, HeckeAlgebra.table_formula, one exact snippet
+of a module's source (formulas or hecke), which must occur there once,
+cyclo.root_sum, which every character-sum count goes through,
+hecke.rep_entries, the name under which the rep-table build reads its
+entries, or one sign of the engine's table
 chevalley._ETA, flipped before any group is built.  The patch is a pytest
 plugin, so the mutant's test ids run in a fresh pytest process (the algebras
 and the field tables are cached per process), and every one of them must fail;
@@ -55,6 +56,20 @@ def rep_entries(sub, field):
 hecke.rep_entries = rep_entries
 """
 
+# sigma_a, zeta^r -> zeta^(a r), applied to every closed-form value
+_SIGMA = """
+from gghecke import hecke
+from gghecke.cyclo import CycloNum
+_table_formula = hecke.HeckeAlgebra.table_formula
+def table_formula(self, i, j, k):
+    c = _table_formula(self, i, j, k)
+    counts = [0] * c.p
+    for r, n in enumerate(c):
+        counts[{a} * r % c.p] += n
+    return CycloNum.from_zeta_counts(c.p, counts)
+hecke.HeckeAlgebra.table_formula = table_formula
+"""
+
 # one sign of the engine's table flipped; every group reads it at construction
 _ETA_FLIP = """
 from gghecke import chevalley
@@ -96,6 +111,7 @@ def _fast(*names):
 
 
 ASSOCIATE = "tests/test_invariants.py::test_closed_forms_associate"
+GENERATION = "tests/test_invariants.py::test_closed_forms_satisfy_generation_identity"
 COUNTS = "tests/test_cyclo.py::test_count_tables_match_direct_counts"
 # name -> (plugin source, (source file, snippet it replaces) or None, ids that must fail)
 MUTANTS = {
@@ -114,6 +130,10 @@ MUTANTS = {
     "B2 (0,1,0) b1 b3 = c2 -> b1 b3 = -c2": (*_replace(
         "M[b1][b3] == c2", "M[b1][b3] == N[c2]"),
         _digests("B2-5", "B2-25")),
+    # the twist keeps the closed forms' duality and associativity; characteristic 2 has no
+    # a != 1 in F_p^x, so the generation identity fails at odd q only
+    "table_formula twisted by sigma_2": (_SIGMA.format(a=2), None,
+                                         [f"{GENERATION}[A2-{q}]" for q in (7, 9, 11)]),
     "root_sum without b/z": (_ROOT_SUM_NO_B, None,
                              _digests("A2-4", "B2-5", "B2-25")
                              + [f"{COUNTS}[q5]", f"{COUNTS}[q8]"]),
@@ -128,6 +148,11 @@ MUTANTS = {
         _fast("test_fast_agrees_with_direct[A2-3]", "test_fast_agrees_with_direct[B2-3]",
               "test_multiply_agrees_with_direct[A2-q0]", "test_multiply_agrees_with_direct[A2-q1]",
               "test_multiply_agrees_with_direct[B2-q2]")),
+    "route grid read transposed in the ratio join": (*_replace(
+        "grid[r1[c1]][r2[c2]]", "grid[r2[c2]][r1[c1]]", "hecke"),
+        _fast("test_unit_is_an_identity", "test_multiply_agrees_with_direct[A2-q0]",
+              "test_multiply_agrees_with_direct[B2-q2]", "test_single_constant_miss_is_zero")
+        + ["tests/test_invariants.py::test_multiply_commutes_on_every_pair[A2-4]"]),
     "one entry's dv off by one": (_DV_OFF, None, _fast(
         "test_fast_agrees_with_direct[A2-2]", "test_fast_agrees_with_direct[A2-3]",
         "test_fast_agrees_with_direct[B2-3]", "test_multiply_agrees_with_direct[A2-q1]")),
