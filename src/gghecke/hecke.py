@@ -5,8 +5,8 @@ The algebra e*QG*e has a basis indexed by pairs (w, t) with w one of the
 four basis Weyl elements and t restricted by a compatibility condition;
 the basis is computed from that condition, never hard-coded.  Structure
 constants are sums of psi-values over the coset representatives produced
-by intersect; a product reads them in one pass over its kind pair's sweep
-plan.  generation_expand expands e_0(x, y) through e_1, e_2 products.
+by intersect; a product walks every ratio of its kind pair's sweep plan once.
+generation_expand expands e_0(x, y) through e_1, e_2 products.
 """
 
 import gc
@@ -115,6 +115,8 @@ class HeckeAlgebra:
         # the closed forms load on the first table_formula; a plain attribute, as a
         # cached_property reads __dict__, which slows every later attribute read
         self._closed_form = self._first_closed_form
+        # row c1 of the route keys (c1, c2), made on first use: one tuple per key, shared by routes
+        self._keys = lru_cache(maxsize=None)(lambda c1: [(c1, c2) for c2 in range(F.q)])
         self._route = lru_cache(maxsize=None)(self._build_route)  # by (x kind, z kind)
         self._plan = lru_cache(maxsize=None)(self._build_plan)  # by (i kind, j kind)
 
@@ -205,21 +207,23 @@ class HeckeAlgebra:
         return M[P[a1][t1]][P[a2][t2]], M[P[b1][t1]][P[b2][t2]]
 
     def _build_route(self, x_kind: int, z_kind: int) -> tuple:
-        """grid[c1][c2]: the k of the z kind with key cz = (c1, c2), or None; at: index of k -> cz.
-        Shared by every y; t -> cz is injective, as z^-1 x takes the simple roots to a basis."""
+        """grid[c1][c2]: the k of the z kind with key cz = (c1, c2), or None; at[n]: the key of
+        basis index n, if of the z kind.  Shared by every y; t -> cz is injective, as z^-1 x
+        takes the simple roots to a basis."""
         W, inv, chi, basis, q = self.W, self.F._inv, self.G.chi_at, self.basis, self.F.q
-        zinv_x, at = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind]), {}
+        zinv_x, at = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind]), [None] * len(basis)
         pz1, pz2, grid = W.act(zinv_x, 1), W.act(zinv_x, 2), [[None] * q for _ in range(q)]
         for k, (n, t, _) in self._tor.items():
             if k[0] == z_kind:
-                c1, c2 = at[n] = inv[chi(t, pz1)], inv[chi(t, pz2)]
+                c1, c2 = inv[chi(t, pz1)], inv[chi(t, pz2)]
+                at[n] = self._keys(c1)[c2]
                 if grid[c1][c2] is not None:
                     raise AssertionError("two route targets share a key")
                 grid[c1][c2] = basis[n]
         return grid, at
 
     def _build_reps(self, kinds: tuple) -> dict:
-        F, (grid, at) = self.F, self._route(kinds[0], kinds[2])
+        F, at = self.F, self._route(kinds[0], kinds[2])[1]
         x, y, z = (self._bw[k] for k in kinds)
         # ratio r = t_mu / t0 = t_mu*t0 (t0 is an involution) -> entries (dv, head, tail, m),
         # each pair packed as pk[x1][x2]: tail = t0*dw, as Tr((cy*t0)*dw) = Tr(cy*(t0*dw)), and
@@ -236,7 +240,7 @@ class HeckeAlgebra:
         for r, es in index.items():
             g1, g2 = (M[inv[c]] for c in self._twist(kinds[0], r))  # rows of g_x(r)
             out[r] = [(dv, pk[g1[u1]][g2[u2]], tail, m) for (dv, u1, u2, tail), m in es.items()]
-        return {"index": out, "grid": grid, "at": at}
+        return {"index": out, "at": at}
 
     def _count(self, ra, rc, entries: list) -> list:
         """Zeta counts of S_ij^k: each entry adds m at dv - Tr(a*head) - Tr(cy*tail), off ra, rc."""
@@ -246,18 +250,15 @@ class HeckeAlgebra:
             counts[(dv - ra[head] - rc[tail]) % p] += m
         return counts
 
-    def _build_plan(self, i_kind: int, j_kind: int) -> tuple:
-        """The sweep plan of a kind pair, one flat list per join: each of its four tables walks the
-        fewer of its ratios (c1, c2, entries, grid) and route keys (c1, c2, k, ratio index)."""
-        ratios, keys, basis = [], [], self.basis
+    def _build_plan(self, i_kind: int, j_kind: int) -> list:
+        """The sweep plan of a kind pair, one flat list: every ratio (c1, c2, entries, grid) of its
+        four tables, with grid the route of the table's z kind."""
+        plan = []
         for z_kind in range(4):
-            tbl = self._reps((i_kind, j_kind, z_kind))
-            index, grid, at = tbl["index"], tbl["grid"], tbl["at"]
-            if len(at) <= len(index):
-                keys += [(c1, c2, basis[n], index) for n, (c1, c2) in at.items()]
-            else:
-                ratios += [(c1, c2, es, grid) for (c1, c2), es in index.items()]
-        return ratios, keys
+            grid = self._route(i_kind, z_kind)[0]
+            plan += [(c1, c2, es, grid)
+                     for (c1, c2), es in self._reps((i_kind, j_kind, z_kind))["index"].items()]
+        return plan
 
     def structure_constant(
         self, i: BasisElem, j: BasisElem, k: BasisElem, method: str = "fast"
@@ -284,20 +285,16 @@ class HeckeAlgebra:
         return CycloNum.from_zeta_counts(F.p, self._count(row(a), row(cy), entries))
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
-        """e_i e_j: one pass over the sweep plan of its kind pair; r = cz*tx*cy."""
+        """e_i e_j: one pass over the sweep plan of its kind pair, each ratio r = cz*tx*cy read
+        as the route key cz of its target k in the route grid, and counted if k is there."""
         (_, tx, _), (_, _, cy), rows, row = self._tor[i], self._tor[j], self.F._mul, self._pair_row
         x1, x2 = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]  # rows[c][x] = c*x
         ra, rc = row(self._twist(i[0], (x1, x2))), row(cy)  # shared by every k of the product
-        (ratios, keys), vec = self._plan(i[0], j[0]), HeckeVec()  # filled in place: hashed once
-        p, count, fold, out = self.F.p, self._count, CycloNum.from_zeta_counts, vec.coeffs
-        r1, r2 = rows[self.F._inv[x1]], rows[self.F._inv[x2]]  # a ratio -> its route key
-        for c1, c2, es, grid in ratios:
+        vec, p, count, fold = HeckeVec(), self.F.p, self._count, CycloNum.from_zeta_counts
+        out, r1, r2 = vec.coeffs, rows[self.F._inv[x1]], rows[self.F._inv[x2]]  # ratio -> key
+        for c1, c2, es, grid in self._plan(i[0], j[0]):
             if (k := grid[r1[c1]][r2[c2]]) is not None and any(c := fold(p, count(ra, rc, es))):
-                out[k] = c  # a HeckeVec holds no zero value
-        r1, r2 = rows[x1], rows[x2]  # a route key -> its ratio
-        for c1, c2, k, index in keys:
-            if (es := index.get((r1[c1], r2[c2]))) and any(c := fold(p, count(ra, rc, es))):
-                out[k] = c
+                out[k] = c  # a HeckeVec holds no zero value; filled in place, each k hashed once
         return vec
 
     # -- closed forms ------------------------------------------------------------

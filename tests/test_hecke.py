@@ -228,18 +228,19 @@ class _Rows(_Logged, list):
 
 
 def test_single_constant_agrees_with_multiply():
-    # a product's plan walks each table's route keys, each looked up in the ratio
-    # index, or its ratios, each looked up in the route grid, whichever side is
-    # smaller: both must come up somewhere.  A single constant is one ratio lookup,
-    # whatever the sides' sizes.  Each algebra is fresh, so no plan was made before
-    # its tables log their reads
+    # a product's plan walks every ratio of its tables, each looked up in the route
+    # grid that the plan takes from _route, and never looks a ratio up in an index;
+    # a single constant is one ratio lookup.  Each algebra is fresh, so no plan was
+    # made before its grids and tables log their reads
     walks, log = set(), []
     for tag, pf in [("A2", (5,)), ("B2", (5,)), ("A2", (2, 2))]:
         H = HeckeAlgebra(tag, make_field(*pf))
         for kinds in itertools.product(range(4), repeat=3):
             tbl = H._reps(kinds)
-            tbl["index"] = _Lookups(tbl["index"], "route keys", log)
-            tbl["grid"] = _Rows(tbl["grid"], "ratios", log)
+            tbl["index"] = _Lookups(tbl["index"], "ratio index", log)
+        routes = {xz: (_Rows(H._route(*xz)[0], "route grid", log), H._route(*xz)[1])
+                  for xz in itertools.product(range(4), repeat=2)}
+        H._route = lambda x, z: routes[x, z]
         p = H.F.p
         for i, j in itertools.product(H.basis, repeat=2):
             log.clear()
@@ -248,8 +249,8 @@ def test_single_constant_agrees_with_multiply():
             for k in H.basis:
                 log.clear()
                 assert H.structure_constant(i, j, k) == prod.get(k, p), (tag, pf, i, j, k)
-                assert log == ["route keys"], (tag, pf, i, j, k)
-    assert walks == {"route keys", "ratios"}
+                assert log == ["ratio index"], (tag, pf, i, j, k)
+    assert walks == {"route grid"}
 
 
 def test_route_key_with_two_targets_fails_the_build(monkeypatch):
