@@ -111,12 +111,14 @@ class HeckeAlgebra:
         # the pair row of a unit pair c, made on first use: x1*q + x2 -> Tr(c1*x1) + Tr(c2*x2)
         self._pair_row = lru_cache(maxsize=None)(
             lambda c: tuple([a + b for a in tr[c[0]] for b in tr[c[1]]]))
-        self._zero = CycloNum.zero(F.p)  # every fast-path miss, shared: a CycloNum is immutable
+        self._zero = CycloNum.zero(F.p)  # every fast-path zero, shared: a CycloNum is immutable
+        self._folds = {}  # the fast path's constants by zeta-count vector: few are distinct
         # the closed forms load on the first table_formula; a plain attribute, as a
         # cached_property reads __dict__, which slows every later attribute read
         self._closed_form = self._first_closed_form
         # row c1 of the route keys (c1, c2), made on first use: one tuple per key, shared by routes
         self._keys = lru_cache(maxsize=None)(lambda c1: [(c1, c2) for c2 in range(F.q)])
+        self._at = lru_cache(maxsize=None)(lambda x_kind: [None] * F.q**2)  # routes' at, by x kind
         self._route = lru_cache(maxsize=None)(self._build_route)  # by (x kind, z kind)
         self._plan = lru_cache(maxsize=None)(self._build_plan)  # by (i kind, j kind)
 
@@ -208,10 +210,10 @@ class HeckeAlgebra:
 
     def _build_route(self, x_kind: int, z_kind: int) -> tuple:
         """grid[c1][c2]: the k of the z kind with key cz = (c1, c2), or None; at[n]: the key of
-        basis index n, if of the z kind.  Shared by every y; t -> cz is injective, as z^-1 x
-        takes the simple roots to a basis."""
+        basis index n, if of the z kind, in the x kind's one list.  Shared by every y; t -> cz
+        is injective, as z^-1 x takes the simple roots to a basis."""
         W, inv, chi, basis, q = self.W, self.F._inv, self.G.chi_at, self.basis, self.F.q
-        zinv_x, at = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind]), [None] * len(basis)
+        zinv_x, at = W.mult(W.inv(self._bw[z_kind]), self._bw[x_kind]), self._at(x_kind)
         pz1, pz2, grid = W.act(zinv_x, 1), W.act(zinv_x, 2), [[None] * q for _ in range(q)]
         for k, (n, t, _) in self._tor.items():
             if k[0] == z_kind:
@@ -242,13 +244,17 @@ class HeckeAlgebra:
             out[r] = [(dv, pk[g1[u1]][g2[u2]], tail, m) for (dv, u1, u2, tail), m in es.items()]
         return {"index": out, "at": at}
 
-    def _count(self, ra, rc, entries: list) -> list:
-        """Zeta counts of S_ij^k: each entry adds m at dv - Tr(a*head) - Tr(cy*tail), off ra, rc."""
+    def _count(self, ra, rc, entries: list) -> CycloNum:
+        """S_ij^k: each entry adds m at zeta count dv - Tr(a*head) - Tr(cy*tail), off ra, rc.  The
+        count vector is folded once per algebra, on its first sight; a zero folds to _zero."""
         p = self.F.p
         counts = [0] * p
         for dv, head, tail, m in entries:
             counts[(dv - ra[head] - rc[tail]) % p] += m
-        return counts
+        if (c := self._folds.get(key := tuple(counts))) is None:
+            c = CycloNum.from_zeta_counts(p, counts)
+            c = self._folds[key] = c if any(c) else self._zero
+        return c
 
     def _build_plan(self, i_kind: int, j_kind: int) -> list:
         """The sweep plan of a kind pair, one flat list: every ratio (c1, c2, entries, grid) of its
@@ -263,7 +269,8 @@ class HeckeAlgebra:
     def structure_constant(
         self, i: BasisElem, j: BasisElem, k: BasisElem, method: str = "fast"
     ) -> CycloNum:
-        """Coefficient of e_k in e_i e_j: sum of phi(Dv - Du - Du')."""
+        """Coefficient of e_k in e_i e_j: sum of phi(Dv - Du - Du').  The fast method returns
+        the algebra's shared zero for a zero constant, and shares its folds with multiply."""
         F, G = self.F, self.G
         if method == "direct":
             (x, tx), (y, ty), (z, tz) = self.point(i), self.point(j), self.point(k)
@@ -282,18 +289,19 @@ class HeckeAlgebra:
         if entries is None:
             return self._zero
         row, a = self._pair_row, self._twist(i[0], (rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]))
-        return CycloNum.from_zeta_counts(F.p, self._count(row(a), row(cy), entries))
+        return self._count(row(a), row(cy), entries)
 
     def multiply(self, i: BasisElem, j: BasisElem) -> HeckeVec:
         """e_i e_j: one pass over the sweep plan of its kind pair, each ratio r = cz*tx*cy read
-        as the route key cz of its target k in the route grid, and counted if k is there."""
+        as the route key cz of its target k in the route grid, and counted if k is there; a
+        constant that _count gives as the shared zero is left out."""
         (_, tx, _), (_, _, cy), rows, row = self._tor[i], self._tor[j], self.F._mul, self._pair_row
         x1, x2 = rows[tx[0]][cy[0]], rows[tx[1]][cy[1]]  # rows[c][x] = c*x
         ra, rc = row(self._twist(i[0], (x1, x2))), row(cy)  # shared by every k of the product
-        vec, p, count, fold = HeckeVec(), self.F.p, self._count, CycloNum.from_zeta_counts
+        vec, count, zero = HeckeVec(), self._count, self._zero
         out, r1, r2 = vec.coeffs, rows[self.F._inv[x1]], rows[self.F._inv[x2]]  # ratio -> key
         for c1, c2, es, grid in self._plan(i[0], j[0]):
-            if (k := grid[r1[c1]][r2[c2]]) is not None and any(c := fold(p, count(ra, rc, es))):
+            if (k := grid[r1[c1]][r2[c2]]) is not None and (c := count(ra, rc, es)) is not zero:
                 out[k] = c  # a HeckeVec holds no zero value; filled in place, each k hashed once
         return vec
 

@@ -480,20 +480,51 @@ def test_multiply_builds_a_clean_vec(tag, pf):
 
 
 def test_multiply_drops_zero_constants(monkeypatch):
-    # no sweep at the fields above sums to zero, so make some: a fold that
-    # zeroes every other constant must leave those out of the product
-    H = hecke_algebra("A2", make_field(5))
+    # no sweep at the fields above sums to zero, so make some: on a fresh algebra, a
+    # fold that zeroes every other distinct count vector must leave exactly the
+    # constants of those vectors out of the product, and every other one as it was.
+    # A single constant reads the same folds, so it names the zeroed k, folding nothing
+    H, fold, seen = HeckeAlgebra("A2", make_field(5)), CycloNum.from_zeta_counts, []
     i, j = H.basis[0], H.basis[1]
-    full, fold, calls = H.multiply(i, j), CycloNum.from_zeta_counts, []
+    full = hecke_algebra("A2", make_field(5)).multiply(i, j)
 
     def zeroing(p, counts):
-        calls.append(counts)
-        return CycloNum.zero(p) if len(calls) % 2 else fold(p, counts)
+        seen.append(tuple(counts))
+        return CycloNum.zero(p) if len(seen) % 2 else fold(p, counts)
 
     monkeypatch.setattr(CycloNum, "from_zeta_counts", staticmethod(zeroing))
-    vec = H.multiply(i, j)
-    assert len(vec) == len(calls) // 2 < len(full)
-    assert all(any(c) and full.get(k, H.F.p) == c for k, c in vec.items())
+    vec, folded = H.multiply(i, j), len(seen)
+    zeroed = {k for k in full.coeffs if H.structure_constant(i, j, k) is H._zero}
+    assert len(seen) == folded == len(set(seen)) > 1
+    assert zeroed and vec == HeckeVec({k: c for k, c in full.items() if k not in zeroed})
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2"])
+def test_fast_path_folds_each_count_vector_once(monkeypatch, tag):
+    # the fast path folds each distinct count vector once per algebra, in whatever
+    # order the products come; a single constant reads the same folds, and a zero
+    # constant is the algebra's one shared zero
+    fold, products, walks = CycloNum.from_zeta_counts, [], []
+
+    def counted(p, counts):
+        walks[-1].append(tuple(counts))
+        return fold(p, counts)
+
+    monkeypatch.setattr(CycloNum, "from_zeta_counts", staticmethod(counted))
+    for order in (1, -1):
+        H, folded = HeckeAlgebra(tag, make_field(5)), []
+        walks.append(folded)
+        pairs = list(itertools.product(H.basis, repeat=2))[::order]
+        products.append({(i, j): H.multiply(i, j) for i, j in pairs})
+        assert len(folded) == len(set(folded)) == len(H._folds), order
+        for i, j in random.Random(f"{tag}-memo").sample(sorted(pairs), 4):
+            prod = products[-1][i, j].coeffs
+            for k in H.basis:
+                c = H.structure_constant(i, j, k)
+                assert c == prod[k] if k in prod else c is H._zero, (order, i, j, k)
+        assert len(folded) == len(H._folds), order
+    assert products[0] == products[1]
+    assert set(walks[0]) == set(walks[1])
 
 
 def test_generation_expand_guards():
